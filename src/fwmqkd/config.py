@@ -165,16 +165,24 @@ def _coerced(default, value, where: str):
 
 
 def resolve_seed(cli_seed: int | None, config: dict) -> int:
-    """Seed precedence: --seed flag, then FWMQKD_SEED, then the config."""
-    if cli_seed is not None:
-        return cli_seed
+    """Seed precedence: --seed flag, then FWMQKD_SEED, then the config.
+
+    The generator is keyed by 64 bits, so a seed outside 0 <= seed < 2**64
+    is rejected wherever it came from instead of aliasing another seed.
+    """
     env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if cli_seed is not None:
+        seed = cli_seed
+    elif env is not None:
         try:
-            return int(env, 0)
+            seed = int(env, 0)
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return int(config["seed"])
+    else:
+        seed = int(config["seed"])
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return seed
 
 
 def model_params_from(config: dict) -> ModelParams:

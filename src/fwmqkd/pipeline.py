@@ -139,18 +139,31 @@ def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     if not t_list:
         raise ConfigError("spectra.t_list must not be empty")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
+    # File names print the delay with {t:g}, so distinct delays can share a
+    # name; reject that before writing rather than overwrite a table.
+    tables = {}
     for t in t_list:
         for cond in conditions:
-            s = signal_spectrum(t, energies, cond, params)
-            path = out_dir / f"spectra_{cond.value}_T{t:g}.csv"
-            write_csv(
-                path,
-                ["E_det", "Re", "Im", "intensity"],
-                zip(energies, s.real, s.imag, np.abs(s) ** 2),
-            )
-            files.append(path)
+            name = f"spectra_{cond.value}_T{t:g}.csv"
+            if name in tables:
+                prev_t, prev_cond = tables[name]
+                raise ConfigError(
+                    f"spectra for T={prev_t!r} {prev_cond.value} and T={t!r} {cond.value} "
+                    f"would both be written to {name}"
+                )
+            tables[name] = (t, cond)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, (t, cond) in tables.items():
+        s = signal_spectrum(t, energies, cond, params)
+        path = out_dir / name
+        write_csv(
+            path,
+            ["E_det", "Re", "Im", "intensity"],
+            zip(energies, s.real, s.imag, np.abs(s) ** 2),
+        )
+        files.append(path)
     return files
 
 
@@ -334,27 +347,16 @@ def _per_bit_rows(traj, bits):
     A slot's row appears when its retained photons, pooled contrast, or
     decoded estimate differs from the previous budget value; the estimate can
     flip without new photons because the running-mean threshold moves with
-    every slot.
+    every slot.  Two NaN contrasts count as the same state.
     """
-    n_budget, n_slots = traj.slot_photons.shape
-    rows = []
-    for s in range(n_slots):
-        prev = None
-        for b in range(n_budget):
-            photons = int(traj.slot_photons[b, s])
-            contrast = float(traj.slot_contrast[b, s])
-            estimate = int(traj.slot_estimate[b, s])
-            state = (photons, contrast, estimate)
-            if prev is not None and _same_state(state, prev):
-                continue
-            prev = state
-            rows.append((s, photons, contrast, estimate, estimate == int(bits[s])))
-    return rows
-
-
-def _same_state(a: tuple, b: tuple) -> bool:
-    same_contrast = a[1] == b[1] or (math.isnan(a[1]) and math.isnan(b[1]))
-    return a[0] == b[0] and same_contrast and a[2] == b[2]
+    photons, contrast, estimate = traj.slot_photons, traj.slot_contrast, traj.slot_estimate
+    changed = np.ones(photons.shape, dtype=bool)
+    same_contrast = (contrast[1:] == contrast[:-1]) | (np.isnan(contrast[1:]) & np.isnan(contrast[:-1]))
+    changed[1:] = (photons[1:] != photons[:-1]) | ~same_contrast | (estimate[1:] != estimate[:-1])
+    slot, budget = np.nonzero(changed.T)
+    est = estimate[budget, slot]
+    return list(zip(slot.tolist(), photons[budget, slot].tolist(),
+                    contrast[budget, slot].tolist(), est.tolist(), (est == bits[slot]).tolist()))
 
 
 def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:

@@ -37,6 +37,10 @@ THRESHOLD_MODES = ("running-mean", "fixed")
 # Snapshot milestones on the photons-per-bit axis, roughly logarithmic.
 SNAPSHOT_BUDGETS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 75, 100, 150, 200, 300, 500, 1000)
 
+# Pulses drawn per block in run_session, rounded down to whole slots and
+# never less than one slot.
+BLOCK_PULSES = 1 << 16
+
 
 def encode_message(text: str) -> np.ndarray:
     """Expand ASCII text to its 7-bit big-endian bit stream.
@@ -349,30 +353,52 @@ class SessionReport:
 
 
 def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> SessionReport:
-    """Run a full session and trace how decoding sharpens with photon budget."""
+    """Run a full session and trace how decoding sharpens with photon budget.
+
+    Pulses are drawn, sifted and tallied in blocks of whole slots, so memory
+    grows with the block and the sifted events, not with the pulse count.
+    The generator is positional, so the block size never changes a result.
+    """
     bits = encode_message(config.message)
     if bits.size == 0:
         raise ParameterError("message is empty, nothing to transmit")
     if channel is None:
         channel = ChannelModel.from_config(config)
     n_slots = bits.size
-    total_pulses = n_slots * config.cycles
+    cycles = config.cycles
+    total_pulses = n_slots * cycles
+    block_slots = max(1, BLOCK_PULSES // cycles)
 
-    n_h, n_v, alice, basis, clamped = _draw_batch(config, channel, 0, total_pulses)
-    slot = np.arange(total_pulses) // config.cycles
-    designated = bits[slot]
-    mask = sift_mask(alice, basis, designated, channel.decode_basis)
-    sift_retention = float(mask.mean())
+    slot_h = np.zeros(n_slots, dtype=np.int64)
+    slot_v = np.zeros(n_slots, dtype=np.int64)
+    kept = clamped_kept = 0
+    events = []
+    for first in range(0, n_slots, block_slots):
+        last = min(first + block_slots, n_slots)
+        n_h, n_v, alice, basis, clamped = _draw_batch(
+            config, channel, first * cycles, (last - first) * cycles
+        )
+        slot = np.repeat(np.arange(first, last), cycles)
+        mask = sift_mask(alice, basis, bits[slot], channel.decode_basis)
+        kept += int(np.count_nonzero(mask))
+        clamped_kept += int(np.count_nonzero(clamped & mask))
+        slot_h[first:last] = np.where(mask, n_h, 0).reshape(-1, cycles).sum(axis=1)
+        slot_v[first:last] = np.where(mask, n_v, 0).reshape(-1, cycles).sum(axis=1)
+        # Events are the sifted pulses that produced at least one photon; the
+        # all-photons count runs over every pulse of the slot, kept or not.
+        totals = n_h + n_v
+        c_all = np.cumsum(totals.reshape(-1, cycles), axis=1).ravel()
+        ev = mask & (totals > 0)
+        events.append((slot[ev], n_h[ev], n_v[ev], c_all[ev]))
+    ev_slot, ev_h, ev_v, ev_all = (np.concatenate(parts) for parts in zip(*events))
 
-    slot_h = np.bincount(slot[mask], weights=n_h[mask], minlength=n_slots).astype(np.int64)
-    slot_v = np.bincount(slot[mask], weights=n_v[mask], minlength=n_slots).astype(np.int64)
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
     decoded = decode_bits(slot_contrast, channel, config.threshold_mode)
     accuracy = float(np.mean(decoded == bits))
 
-    trajectory = _build_trajectory(slot, n_h, n_v, mask, n_slots, bits,
+    trajectory = _build_trajectory(ev_slot, ev_h, ev_v, ev_all, n_slots, bits,
                                    channel, config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
@@ -383,9 +409,9 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
         bits=bits,
         decoded_bits=decoded,
         accuracy=accuracy,
-        sift_retention=sift_retention,
+        sift_retention=kept / total_pulses,
         total_pulses=total_pulses,
-        clamped_pulses=int(clamped[mask].sum()),
+        clamped_pulses=clamped_kept,
         slot_h=slot_h,
         slot_v=slot_v,
         slot_contrast=slot_contrast,
@@ -399,37 +425,39 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     )
 
 
-def _build_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, threshold_mode) -> Trajectory:
+def _slot_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running sum of values restarting at each slot's first event."""
+    run = np.cumsum(values)
+    return run - (run - values)[first]
+
+
+def _build_trajectory(ev_slot, ev_h, ev_v, ev_all, n_slots, bits, channel,
+                      threshold_mode) -> Trajectory:
     """Forward-fill per-slot cumulative counts over a photon budget axis.
 
-    Events are the sifted pulses that produced at least one photon.  For the
-    all-photons axis, every pulse of the slot up to the event is counted,
-    kept or discarded alike.
+    The event arrays hold, in pulse order, the slot, the two port counts and
+    the slot's all-photon running count of every sifted pulse that produced
+    a photon.  Each event is scattered at the budget row equal to its slot's
+    retained running total; a running maximum down the budget axis then
+    carries the latest event within budget to every row below the next one.
     """
-    totals = n_h + n_v
-    events = mask & (totals > 0)
-
-    kept_per_slot = np.bincount(slots[events], weights=totals[events], minlength=n_slots)
-    r_max = int(kept_per_slot.max()) if np.any(events) else 0
+    first = np.searchsorted(ev_slot, ev_slot)
+    ch = _slot_cumsum(ev_h, first)
+    cv = _slot_cumsum(ev_v, first)
+    ct = ch + cv
+    r_max = int(ct.max()) if ct.size else 0
     budgets = np.arange(r_max + 1)
-    h_mat = np.zeros((r_max + 1, n_slots))
-    v_mat = np.zeros((r_max + 1, n_slots))
-    a_mat = np.zeros((r_max + 1, n_slots))
-    for s in range(n_slots):
-        in_slot = slots == s
-        ev = events[in_slot]
-        if not np.any(ev):
-            continue
-        ch = np.cumsum(n_h[in_slot][ev])
-        cv = np.cumsum(n_v[in_slot][ev])
-        ct = ch + cv
-        c_all = np.cumsum(totals[in_slot])[ev]
-        k = np.searchsorted(ct, budgets, side="right") - 1
-        valid = k >= 0
-        h_mat[valid, s] = ch[k[valid]]
-        v_mat[valid, s] = cv[k[valid]]
-        a_mat[valid, s] = c_all[k[valid]]
+    idx = np.full((r_max + 1, n_slots), -1, dtype=np.int64)
+    idx[ct, ev_slot] = np.arange(ct.size)
+    np.maximum.accumulate(idx, axis=0, out=idx)
 
+    # A trailing zero makes index -1 (no event yet) read as zero counts.
+    def fill(cum):
+        return np.append(cum, 0).astype(np.float64)[idx]
+
+    h_mat = fill(ch)
+    v_mat = fill(cv)
+    a_mat = fill(ev_all)
     t_mat = h_mat + v_mat
     with np.errstate(invalid="ignore"):
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)

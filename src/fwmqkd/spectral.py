@@ -175,13 +175,13 @@ def signal_spectrum(t: float, grid, condition: Condition, params: ModelParams = 
     e = np.asarray(grid, dtype=np.float64)
     if e.size == 0:
         raise ParameterError("energy grid is empty")
+    if t < 0:
+        raise ParameterError("pump delay must be non-negative")
     if condition in _CIRCULAR_COLUMN:
         weights = coefficients_at(t, condition, params).astype(np.complex128)
     elif condition is Condition.RRVV:
         weights = _column_mean(params).astype(np.complex128)
     else:
-        if t < 0:
-            raise ParameterError("pump delay must be non-negative")
         decay = math.exp(-params.k_spin * t)
         weights = 1j * decay * _column_half_difference(params)
     out = np.zeros(e.shape, dtype=np.complex128)

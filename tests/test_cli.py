@@ -1,5 +1,6 @@
 """End-to-end command behavior: files, formats, exit codes, env handling."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -64,6 +65,15 @@ class TestSpectra:
         assert run_cli("spectra", "--config", cfg, "--out", "s") == 0
         names = sorted(p.name for p in (run_cli.cwd / "s").iterdir())
         assert names == ["manifest.json", "spectra_RRVH_T0.csv", "spectra_RRVH_T250.csv"]
+
+    def test_delays_sharing_a_file_name_are_rejected(self, run_cli, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"spectra": {"t_list": [100.0, 100.0000001], "conditions": ["RRVH"], "points": 64}},
+        )
+        assert run_cli("spectra", "--config", cfg, "--out", "s") == 2
+        assert "spectra_RRVH_T100.csv" in capsys.readouterr().err
+        assert list((run_cli.cwd / "s").iterdir()) == []
 
     def test_manifest_lists_every_artifact(self, run_cli):
         assert run_cli("spectra", "--out", "s") == 0
@@ -249,6 +259,27 @@ class TestQkd:
         assert run_cli("qkd", "--out", "b") == 0
         assert tree_bytes(run_cli.cwd / "a") == tree_bytes(run_cli.cwd / "b")
 
+    # trajectory.csv digests and report fields of a 16-char, 300-cycle
+    # session at the default seed, captured before the session engine was
+    # rewritten to draw in blocks; any change to them changes the artifact.
+    @pytest.mark.parametrize("preset,trajectory_sha,sift_retention", [
+        ("540nm", "73555f8ec4060c9fc4c616035db022d5a94afb88e56abb327ae8564fe9fc07a6",
+         0.2523809523809524),
+        ("500nm", "34b8dbbe0988d7c2ecd52b1428ec9b24f821c9416cbcf990c4e2884bf735889f",
+         0.2538690476190476),
+    ])
+    def test_small_session_matches_golden_digest(self, run_cli, tmp_path, preset,
+                                                 trajectory_sha, sift_retention):
+        message = "Spin-encoded QKD"
+        cfg = _write_config(tmp_path / "c.json",
+                            {"qkd": {"preset": preset, "message": message, "cycles": 300}})
+        assert run_cli("qkd", "--config", cfg, "--out", "q") == 0
+        data = (run_cli.cwd / "q" / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == trajectory_sha
+        report = read_json(run_cli.cwd / "q" / "qkd_report.json")
+        assert report["decoded_message"] == message
+        assert report["sift_retention"] == sift_retention
+
     def test_bad_threshold_mode_is_a_config_error(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", {"qkd": {"threshold_mode": "bogus"}})
         assert run_cli("qkd", "--config", cfg, "--out", "q") == 2
@@ -346,6 +377,14 @@ class TestCommonBehavior:
         assert run_cli("qkd", "--seed", "0x10", "--out", "hexed") == 0
         assert run_cli("qkd", "--seed", "16", "--out", "plain") == 0
         assert tree_bytes(run_cli.cwd / "hexed") == tree_bytes(run_cli.cwd / "plain")
+
+    @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])
+    def test_out_of_range_seed_is_a_config_error(self, run_cli, capsys, seed):
+        # Either value used to alias an in-range key (2**64 - 1 and 0).
+        assert run_cli("detector-check", "--seed", seed, "--out", "d") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+        assert not (run_cli.cwd / "d").exists()
 
     def test_zero_threads_is_rejected(self, run_cli):
         assert run_cli("spectra", "--out", "s", "--threads", "0") == 2

@@ -86,6 +86,24 @@ def test_bad_env_seed_is_a_config_error(monkeypatch):
         resolve_seed(None, {"seed": 1})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_rejected_from_every_source(monkeypatch, seed):
+    monkeypatch.delenv("FWMQKD_SEED", raising=False)
+    with pytest.raises(ConfigError):
+        resolve_seed(seed, {"seed": 1})
+    with pytest.raises(ConfigError):
+        resolve_seed(None, {"seed": seed})
+    monkeypatch.setenv("FWMQKD_SEED", str(seed))
+    with pytest.raises(ConfigError):
+        resolve_seed(None, {"seed": 1})
+
+
+def test_seed_range_edges_are_accepted(monkeypatch):
+    monkeypatch.delenv("FWMQKD_SEED", raising=False)
+    assert resolve_seed(0, {"seed": 1}) == 0
+    assert resolve_seed(None, {"seed": 2**64 - 1}) == 2**64 - 1
+
+
 def test_model_params_follow_the_config(tmp_path):
     cfg = _load(tmp_path, {"model": {"delta": 1.5, "hilbert_sign": -1}})
     params = model_params_from(cfg)

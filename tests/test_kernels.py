@@ -1,5 +1,7 @@
 """Counter RNG, count sampling, and argmin kernels, on every available backend."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -182,3 +184,40 @@ def test_bench_exercises_every_backend():
     assert report["compiled_available"] == (_core is not None)
     text = format_report(report)
     assert "pulse_randoms" in text
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Golden digests of the kernel outputs, captured from the numpy backend.
+# Every backend and every later rewrite of the kernels must reproduce them.
+# The last case keys the generator with the all-ones seed and starts above
+# 2**32, so the high counter word is non-zero.
+KERNEL_GOLDEN = [
+    (20260814, STREAM_SESSION, 0, 1000,
+     "f4aeda27f59f58b7ca9b2bb3c2dc3fb2c3461ffcc0073f276b8d78a5ddad258b",
+     "07799dd6b6d564c9a65eb3a5565a678cd11c2025287d509118db691e187e2fad"),
+    (7, STREAM_DETECTOR, 2**32 - 300, 1000,
+     "e613fa4fd731377c8a185204e8b51b8d5686e6414b161fab7064bf75585e8b85",
+     "db0add2e271b047bd702297930de19c2c279849bd69553f58dee4c7566ca4c0a"),
+    (2**64 - 1, STREAM_GENERIC, 5 * 2**32 + 17, 257,
+     "9260c5696d34b5e51c980105f95443d6367cdd9855335155c063a57b4d4f2502",
+     "59c170ab5de7cf53955ac63c3eb18fa75b577cd47c89781d0e6a2322c00a7a2a"),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed,stream,start,count,randoms_sha,counts_sha", KERNEL_GOLDEN)
+def test_kernel_outputs_match_golden_digests(backend, seed, stream, start, count,
+                                             randoms_sha, counts_sha):
+    randoms = [np.asarray(a) for a in backend.pulse_randoms(seed, stream, start, count)]
+    assert [a.dtype for a in randoms] == [np.float64] * 3 + [np.uint8] * 2
+    assert _digest(*randoms) == randoms_sha
+    n, clamped = backend.poisson_counts(randoms[1], np.linspace(0.0, 4.0, count), 5)
+    n, clamped = np.asarray(n), np.asarray(clamped)
+    assert (n.dtype, clamped.dtype) == (np.int64, np.bool_)
+    assert _digest(n, clamped) == counts_sha

@@ -5,14 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fwmqkd import session
 from fwmqkd.errors import MessageEncodingError, ParameterError
 from fwmqkd.photons import AttenuationConfig
 from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
 from fwmqkd.session import (
     BITS_PER_CHAR,
+    THRESHOLD_MODES,
     ChannelModel,
     SessionConfig,
+    _build_trajectory,
+    _draw_batch,
     decode_bits,
     decode_to_text,
     encode_message,
@@ -124,8 +130,6 @@ class TestSifting:
     def test_random_retention_is_one_quarter(self):
         ch = _channel()
         cfg = SessionConfig(cycles=1)
-        from fwmqkd.session import _draw_batch
-
         _, _, alice, basis, _ = _draw_batch(cfg, ch, 0, 100_000)
         designated = np.repeat(encode_message(cfg.message), 100_000 // 56 + 1)[:100_000]
         mask = sift_mask(alice, basis, designated, ch.decode_basis)
@@ -205,8 +209,6 @@ class TestRunPulse:
             assert (rec.alice_bit, rec.basis_bit) == (1, 0)
 
     def test_matches_the_batch_path_exactly(self):
-        from fwmqkd.session import _draw_batch
-
         cfg = SessionConfig(seed=31)
         ch = ChannelModel.from_config(cfg)
         n_h, n_v, alice, basis, _ = _draw_batch(cfg, ch, 40, 25)
@@ -296,3 +298,128 @@ class TestRunSession:
         assert a.decoded_message == b.decoded_message
         np.testing.assert_array_equal(a.slot_h, b.slot_h)
         np.testing.assert_array_equal(a.slot_contrast, b.slot_contrast)
+
+
+def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, threshold_mode):
+    """The dense per-slot masking forward-fill, kept as the test oracle."""
+    totals = n_h + n_v
+    events = mask & (totals > 0)
+
+    kept_per_slot = np.bincount(slots[events], weights=totals[events], minlength=n_slots)
+    r_max = int(kept_per_slot.max()) if np.any(events) else 0
+    budgets = np.arange(r_max + 1)
+    h_mat = np.zeros((r_max + 1, n_slots))
+    v_mat = np.zeros((r_max + 1, n_slots))
+    a_mat = np.zeros((r_max + 1, n_slots))
+    for s in range(n_slots):
+        in_slot = slots == s
+        ev = events[in_slot]
+        if not np.any(ev):
+            continue
+        ch = np.cumsum(n_h[in_slot][ev])
+        cv = np.cumsum(n_v[in_slot][ev])
+        ct = ch + cv
+        c_all = np.cumsum(totals[in_slot])[ev]
+        k = np.searchsorted(ct, budgets, side="right") - 1
+        valid = k >= 0
+        h_mat[valid, s] = ch[k[valid]]
+        v_mat[valid, s] = cv[k[valid]]
+        a_mat[valid, s] = c_all[k[valid]]
+
+    t_mat = h_mat + v_mat
+    with np.errstate(invalid="ignore"):
+        p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
+    decoded = session.decode_matrix(p_mat, channel, threshold_mode)
+    correct = decoded == bits[None, :]
+    return session.Trajectory(budgets, t_mat.mean(axis=1), a_mat.mean(axis=1),
+                              correct.mean(axis=1), (decoded < 0).sum(axis=1),
+                              t_mat.astype(np.int64), p_mat, decoded)
+
+
+def _events(n_h, n_v, mask, cycles):
+    """Event arrays of a pulse train, slot by slot."""
+    parts = []
+    for s in range(n_h.size // cycles):
+        sl = slice(s * cycles, (s + 1) * cycles)
+        h, v, m = n_h[sl], n_v[sl], mask[sl]
+        c_all = np.cumsum(h + v)
+        for k in np.flatnonzero(m & (h + v > 0)):
+            parts.append((s, h[k], v[k], c_all[k]))
+    return tuple(np.array([p[i] for p in parts], dtype=np.int64) for i in range(4))
+
+
+def _assert_same_trajectory(a, b):
+    for name in session.Trajectory.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
+    n_h, n_v = np.asarray(n_h, dtype=np.int64), np.asarray(n_v, dtype=np.int64)
+    mask, bits = np.asarray(mask, dtype=bool), np.asarray(bits, dtype=np.int64)
+    channel = _channel()
+    slots = np.arange(n_h.size) // cycles
+    expected = _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits, channel, mode)
+    got = _build_trajectory(*_events(n_h, n_v, mask, cycles), bits.size, bits, channel, mode)
+    _assert_same_trajectory(got, expected)
+
+
+@st.composite
+def _pulse_trains(draw):
+    n_slots = draw(st.integers(1, 6))
+    cycles = draw(st.integers(1, 8))
+    n = n_slots * cycles
+    counts = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return (draw(counts), draw(counts), draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            cycles, draw(st.lists(st.integers(0, 1), min_size=n_slots, max_size=n_slots)),
+            draw(st.sampled_from(THRESHOLD_MODES)))
+
+
+class TestTrajectoryReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_pulse_trains())
+    def test_matches_the_per_slot_forward_fill(self, train):
+        _check_against_reference(*train)
+
+    @pytest.mark.parametrize("n_h,n_v,mask,cycles,bits", [
+        # slots 0 and 2 see no event: one has no photons, one sifts all away
+        ([0, 0, 2, 1, 1, 0], [0, 0, 0, 1, 0, 3], [1, 1, 1, 1, 0, 0], 2, [1, 0, 1]),
+        # no photon anywhere, so the budget axis is the single row r_max = 0
+        ([0] * 6, [0] * 6, [1] * 6, 3, [0, 1]),
+        # one pulse per slot
+        ([1, 0, 2, 0, 1], [0, 1, 0, 2, 1], [1, 1, 0, 1, 1], 1, [1, 0, 1, 0, 1]),
+        # a single slot
+        ([1, 0, 2, 0, 1, 3], [0, 1, 0, 2, 1, 0], [1, 1, 0, 1, 1, 1], 6, [1]),
+    ], ids=["empty-slots", "no-photons", "one-cycle", "one-slot"])
+    def test_edge_cases(self, n_h, n_v, mask, cycles, bits):
+        _check_against_reference(n_h, n_v, mask, cycles, bits)
+
+    def test_session_longer_than_one_block(self, monkeypatch):
+        monkeypatch.setattr(session, "BLOCK_PULSES", 200)
+        cfg = SessionConfig(message="blocks", cycles=60, seed=17)
+        channel = ChannelModel.from_config(cfg)
+        bits = encode_message(cfg.message)
+        total = bits.size * cfg.cycles
+        assert total > 10 * session.BLOCK_PULSES
+        n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
+        slots = np.arange(total) // cfg.cycles
+        mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
+        expected = _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits,
+                                         channel, cfg.threshold_mode)
+        _assert_same_trajectory(run_session(cfg, channel).trajectory, expected)
+
+
+class TestBlockInvariance:
+    @pytest.mark.parametrize("lambda_nm,theta", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
+    def test_block_size_never_changes_the_report(self, monkeypatch, lambda_nm, theta):
+        cfg = SessionConfig(message="Block!", cycles=50, seed=99,
+                            lambda_nm=lambda_nm, decode_theta=theta)
+        reference = run_session(cfg)
+        total = reference.total_pulses
+        # below one slot (rounds up to one), one slot, three slots, whole message
+        for block in (1, cfg.cycles, 3 * cfg.cycles, 10 * total):
+            monkeypatch.setattr(session, "BLOCK_PULSES", block)
+            report = run_session(cfg)
+            assert report.to_dict() == reference.to_dict()
+            _assert_same_trajectory(report.trajectory, reference.trajectory)

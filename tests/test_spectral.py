@@ -170,6 +170,12 @@ def test_signal_spectrum_rejects_empty_grid():
         signal_spectrum(0.0, np.array([]), Condition.RRRR, DEFAULT_PARAMS)
 
 
+@pytest.mark.parametrize("condition", list(Condition))
+def test_signal_spectrum_rejects_negative_delay(condition):
+    with pytest.raises(ParameterError):
+        signal_spectrum(-5.0, GRID, condition, DEFAULT_PARAMS)
+
+
 def test_condition_parsing():
     assert Condition.from_string("rrvh") is Condition.RRVH
     assert Condition.from_string("RRRR") is Condition.RRRR
