@@ -77,7 +77,6 @@ def _dispatch(args) -> int:
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     out_dir = resolve_output_dir(args.out, config, args.command)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "spectra":
         files = run_spectra(config, out_dir)

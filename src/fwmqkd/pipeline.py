@@ -37,6 +37,10 @@ MANIFEST_NAME = "manifest.json"
 
 RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 
+# Rows formatted per write: large enough that the per-chunk overhead is
+# negligible, small enough that the formatted text of one chunk stays a few MB.
+CSV_CHUNK_ROWS = 1 << 16
+
 
 def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     """Pick the output directory: --out, FWMQKD_OUTPUT_DIR, config, then cwd."""
@@ -52,20 +56,31 @@ def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     return base / f"fwmqkd_{command.replace('-', '_')}"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV rows, CSV_CHUNK_ROWS rows at a time.
 
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Each column is converted to an array once and gets one printf code:
+    floats print as their shortest round-trip repr, integers and strings via
+    str, and bools as true/false.  A float and an integer column therefore
+    differ ("0.0" against "0"), so callers keep each column's own type.
+    """
+    arrays = []
+    codes = []
+    for column in columns:
+        a = np.asarray(column)
+        if a.dtype.kind == "b":
+            a = np.where(a, "true", "false")
+        arrays.append(a)
+        codes.append("%r" if a.dtype.kind == "f" else "%s")
+    template = ",".join(codes) + "\n"
+    n_rows = len(arrays[0]) if arrays else 0
+    if any(len(a) != n_rows for a in arrays):
+        raise ValueError(f"{path}: CSV columns differ in length")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [a[lo:lo + CSV_CHUNK_ROWS].tolist() for a in arrays]
+            f.write("".join(map(template.__mod__, zip(*chunk))))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -161,7 +176,7 @@ def run_spectra(config: dict, out_dir: Path) -> list[Path]:
         write_csv(
             path,
             ["E_det", "Re", "Im", "intensity"],
-            zip(energies, s.real, s.imag, np.abs(s) ** 2),
+            [energies, s.real, s.imag, np.abs(s) ** 2],
         )
         files.append(path)
     return files
@@ -181,27 +196,32 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     if not t_list:
         raise ConfigError("contrast_map.t_list must not be empty")
 
-    map_rows = []
-    ratio_rows = []
+    contrasts = []
+    gammas = []
     for t in t_list:
         _, a_h, a_v, phi, _ = _field_arrays(t, lams, params)
-        gammas = {}
-        for theta_deg, theta in ((0, THETA_SPLIT), (45, THETA_MIX)):
+        for theta in (THETA_SPLIT, THETA_MIX):
             i_h, i_v = intensity_pair(a_h, a_v, phi, theta)
-            p = (i_h - i_v) / (i_h + i_v)
-            map_rows.extend(
-                (t, lam, theta_deg, pv) for lam, pv in zip(lams, p)
-            )
-            gammas[theta_deg] = i_h / (i_v + xi)
-        ratio_rows.extend(
-            (t, lam, g0, g45) for lam, g0, g45 in zip(lams, gammas[0], gammas[45])
-        )
+            contrasts.append((i_h - i_v) / (i_h + i_v))
+            gammas.append(i_h / (i_v + xi))
+    # Rows run over delays, then (map only) the two settings, then wavelengths.
+    n_t, n = len(t_list), lams.size
 
     out_dir.mkdir(parents=True, exist_ok=True)
     map_path = out_dir / "contrast_map.csv"
-    write_csv(map_path, ["T_fs", "lambda_nm", "theta_deg", "P"], map_rows)
+    write_csv(map_path, ["T_fs", "lambda_nm", "theta_deg", "P"], [
+        np.repeat(t_list, 2 * n),
+        np.tile(lams, 2 * n_t),
+        np.tile(np.repeat([0, 45], n), n_t),
+        np.concatenate(contrasts),
+    ])
     ratio_path = out_dir / "ratios.csv"
-    write_csv(ratio_path, RATIO_COLUMNS, ratio_rows)
+    write_csv(ratio_path, RATIO_COLUMNS, [
+        np.repeat(t_list, n),
+        np.tile(lams, n_t),
+        np.concatenate(gammas[0::2]),
+        np.concatenate(gammas[1::2]),
+    ])
     return [map_path, ratio_path]
 
 
@@ -296,7 +316,7 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
     write_csv(
         csv_path,
         ["T_fs", "lambda_nm", "A_H", "A_V", "phi", "SE", "degenerate"],
-        out_rows,
+        list(zip(*out_rows)),
     )
     residual_path = out_dir / "residuals.json"
     write_json(residual_path, {
@@ -329,19 +349,19 @@ def run_qkd(config: dict, seed: int, out_dir: Path) -> list[Path]:
     write_csv(
         traj_path,
         ["bit_index", "photons", "contrast", "estimate", "correct"],
-        _per_bit_rows(traj, report.bits),
+        _per_bit_columns(traj, report.bits),
     )
 
     snap_path = out_dir / "snapshots.txt"
     snap_lines = [
-        f"photons_per_bit={b} retained_mean={_fmt(r)} decoded={text}"
+        f"photons_per_bit={b} retained_mean={float(r)!r} decoded={text}"
         for b, r, text in report.snapshots
     ]
     snap_path.write_text("\n".join(snap_lines) + "\n", encoding="utf-8", newline="\n")
     return [report_path, traj_path, snap_path]
 
 
-def _per_bit_rows(traj, bits):
+def _per_bit_columns(traj, bits):
     """Per-slot decode history, one row per state change along the budget axis.
 
     A slot's row appears when its retained photons, pooled contrast, or
@@ -355,8 +375,7 @@ def _per_bit_rows(traj, bits):
     changed[1:] = (photons[1:] != photons[:-1]) | ~same_contrast | (estimate[1:] != estimate[:-1])
     slot, budget = np.nonzero(changed.T)
     est = estimate[budget, slot]
-    return list(zip(slot.tolist(), photons[budget, slot].tolist(),
-                    contrast[budget, slot].tolist(), est.tolist(), (est == bits[slot]).tolist()))
+    return [slot, photons[budget, slot], contrast[budget, slot], est, est == bits[slot]]
 
 
 def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
@@ -383,7 +402,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         "settings": {},
     }
     stats = {}
-    record_rows = []
+    records = []
     for idx, (theta_deg, theta) in enumerate(((0, THETA_SPLIT), (45, THETA_MIX))):
         i_h, i_v = intensity_pair(a_h[0], a_v[0], phi[0], theta)
         start = idx * pulses
@@ -411,10 +430,8 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
             "sipm_roundtrip_total": 2 * pulses,
             "stats": setting_stats,
         }
-        record_rows.extend(
-            (start + k, t, theta_deg, int(batch.n_h[k]), int(batch.n_v[k]))
-            for k in range(pulses)
-        )
+        records.append([np.arange(start, start + pulses), np.full(pulses, t),
+                        np.full(pulses, theta_deg), batch.n_h, batch.n_v])
     sep = resolution(stats[0], stats[45])
     payload["resolution"] = {
         "value": sep.value if math.isfinite(sep.value) else None,
@@ -425,5 +442,6 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     json_path = out_dir / "detector_check.json"
     write_json(json_path, payload)
     records_path = out_dir / "records.csv"
-    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"], record_rows)
+    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"],
+              [np.concatenate(parts) for parts in zip(*records)])
     return [json_path, records_path]

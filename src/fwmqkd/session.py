@@ -225,7 +225,7 @@ def run_pulse(config: SessionConfig, channel: ChannelModel, index: int,
 
 
 def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
-                  threshold_mode: str = "running-mean") -> np.ndarray:
+                  threshold_mode: str = "running-mean") -> tuple[np.ndarray, np.ndarray]:
     """Decode rows of slot contrasts into bits (1, 0, or -1 for undecided).
 
     Rows are independent decode attempts, columns are slots, NaN marks a
@@ -234,12 +234,16 @@ def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
     below half the calibrated gap the row falls back to the calibrated
     midpoint, since a tight cluster gives no internal evidence of where the
     boundary sits.  A contrast exactly on the threshold stays undecided.
+
+    Returns the bits and, per row, whether the row used the calibrated
+    midpoint (always so in fixed mode).
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ParameterError(f"threshold_mode must be one of {THRESHOLD_MODES}")
     p = np.atleast_2d(np.asarray(p_cum, dtype=np.float64))
     decided = np.isfinite(p)
     if threshold_mode == "fixed":
+        midpoint = np.ones(p.shape[0], dtype=bool)
         threshold = np.full(p.shape[0], channel.fixed_threshold)
     else:
         n_dec = decided.sum(axis=1)
@@ -247,16 +251,18 @@ def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
         p_max = np.where(decided, p, -np.inf).max(axis=1)
         p_min = np.where(decided, p, np.inf).min(axis=1)
         spread = np.where(n_dec > 0, p_max - p_min, 0.0)
-        threshold = np.where(spread < 0.5 * abs(channel.gap), channel.fixed_threshold, mean)
+        midpoint = spread < 0.5 * abs(channel.gap)
+        threshold = np.where(midpoint, channel.fixed_threshold, mean)
     score = channel.orientation * (p - threshold[:, None])
     bits = np.where(score > 0, 1, np.where(score < 0, 0, -1)).astype(np.int64)
     bits[~decided] = -1
-    return bits
+    return bits, midpoint
 
 
 def decode_bits(p_cum, channel: ChannelModel, threshold_mode: str = "running-mean") -> np.ndarray:
     """Decode one vector of slot contrasts."""
-    return decode_matrix(np.asarray(p_cum, dtype=np.float64)[None, :], channel, threshold_mode)[0]
+    bits, _ = decode_matrix(np.asarray(p_cum, dtype=np.float64)[None, :], channel, threshold_mode)
+    return bits[0]
 
 
 @dataclass(frozen=True)
@@ -268,8 +274,10 @@ class Trajectory:
     pulse that would cross the cap is dropped.  all_photons_mean counts every
     detected photon in the slot's pulse train up to the same point, sifted or
     not, since it is ambiguous which of the two a photons-per-bit axis should
-    count.  The per-slot matrices have one row per budget value and one
-    column per slot.
+    count.  used_midpoint says, per budget value, whether the decoder used
+    the calibrated midpoint rather than the running mean as its threshold.
+    The per-slot matrices have one row per budget value and one column per
+    slot.
     """
 
     budget: np.ndarray
@@ -277,6 +285,7 @@ class Trajectory:
     all_photons_mean: np.ndarray
     accuracy: np.ndarray
     undecided: np.ndarray
+    used_midpoint: np.ndarray
     slot_photons: np.ndarray
     slot_contrast: np.ndarray
     slot_estimate: np.ndarray
@@ -289,9 +298,10 @@ class Trajectory:
                 "all_photons_mean": float(ap),
                 "percent_correct": float(100.0 * a),
                 "undecided": int(u),
+                "threshold": "midpoint" if m else "running-mean",
             }
-            for b, r, ap, a, u in zip(self.budget, self.retained_mean,
-                                      self.all_photons_mean, self.accuracy, self.undecided)
+            for b, r, ap, a, u, m in zip(self.budget, self.retained_mean, self.all_photons_mean,
+                                         self.accuracy, self.undecided, self.used_midpoint)
         ]
 
 
@@ -461,12 +471,12 @@ def _build_trajectory(ev_slot, ev_h, ev_v, ev_all, n_slots, bits, channel,
     t_mat = h_mat + v_mat
     with np.errstate(invalid="ignore"):
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-    decoded = decode_matrix(p_mat, channel, threshold_mode)
+    decoded, used_midpoint = decode_matrix(p_mat, channel, threshold_mode)
     correct = decoded == bits[None, :]
     accuracy = correct.mean(axis=1)
     undecided = (decoded < 0).sum(axis=1)
     return Trajectory(budgets, t_mat.mean(axis=1), a_mat.mean(axis=1), accuracy,
-                      undecided, t_mat.astype(np.int64), p_mat, decoded)
+                      undecided, used_midpoint, t_mat.astype(np.int64), p_mat, decoded)
 
 
 def _snapshots(traj: Trajectory) -> list[tuple[int, float, str]]:

@@ -4,8 +4,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fwmqkd import cli
+
+# Property tests draw a fixed example sequence and keep no example database,
+# so a result never depends on the search or on a local .hypothesis/ store.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -73,7 +73,7 @@ class TestSpectra:
         )
         assert run_cli("spectra", "--config", cfg, "--out", "s") == 2
         assert "spectra_RRVH_T100.csv" in capsys.readouterr().err
-        assert list((run_cli.cwd / "s").iterdir()) == []
+        assert not (run_cli.cwd / "s").exists()
 
     def test_manifest_lists_every_artifact(self, run_cli):
         assert run_cli("spectra", "--out", "s") == 0
@@ -324,12 +324,66 @@ class TestDetectorCheck:
         assert values[6400] > values[400]
 
 
+class TestGoldenDigests:
+    """SHA-256 of every CSV table the CLI writes, at small sizes and the
+    default seed, captured before the CSV writer went column-wise; any
+    change to them changes the artifact bytes."""
+
+    @staticmethod
+    def _digests(directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(directory.glob("*.csv"))}
+
+    def test_spectra(self, run_cli, tmp_path):
+        cfg = _write_config(tmp_path / "c.json",
+                            {"spectra": {"t_list": [0.0, 125.5, 400.0], "points": 33}})
+        assert run_cli("spectra", "--config", cfg, "--out", "s") == 0
+        assert self._digests(run_cli.cwd / "s") == SPECTRA_DIGESTS
+
+    def test_contrast_map_and_ratios(self, run_cli, tmp_path):
+        cfg = _write_config(tmp_path / "c.json", SMALL_MAP)
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 0
+        assert self._digests(run_cli.cwd / "m") == CONTRAST_MAP_DIGESTS
+
+    def test_reconstruction_with_gap_and_degenerate_cells(self, run_cli, tmp_path):
+        # (500, 510) is missing, (0, 520) has a negative ratio, and the pure
+        # vertical field at (500, 520) ties along the whole phase row.
+        src = tmp_path / "ratios.csv"
+        src.write_text(
+            "T_fs,lambda_nm,gamma_0,gamma_45\n"
+            "0.0,500.0,1.2,0.9\n"
+            "0.0,510.0,0.35,1.7\n"
+            "0.0,520.0,-0.5,0.9\n"
+            "500.0,500.0,0.8,1.1\n"
+            "500.0,520.0,0.0,0.9999999980000005\n"
+        )
+        assert run_cli("reconstruct", "--input", str(src), "--out", "r") == 0
+        _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
+        assert [r[6] for r in rows] == ["false", "false", "gap", "false", "gap", "true"]
+        assert self._digests(run_cli.cwd / "r") == RECONSTRUCTION_DIGESTS
+
+    def test_detector_records(self, run_cli, tmp_path):
+        cfg = _write_config(tmp_path / "c.json", {"detector_check": {"pulses": 1000}})
+        assert run_cli("detector-check", "--config", cfg, "--out", "d") == 0
+        assert self._digests(run_cli.cwd / "d") == DETECTOR_DIGESTS
+
+
 class TestCommonBehavior:
     def test_malformed_config_writes_nothing(self, run_cli, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         assert run_cli("spectra", "--config", str(bad), "--out", "s") == 2
         assert not (run_cli.cwd / "s").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("spectra", {"spectra": {"t_list": [100.0, 100.0000001]}}),
+        ("qkd", {"qkd": {"preset": "600nm"}}),
+        ("qkd", {"qkd": {"threshold_mode": "bogus"}}),
+    ], ids=["colliding-delays", "unknown-preset", "bad-threshold-mode"])
+    def test_a_rejected_run_leaves_no_output_directory(self, run_cli, tmp_path, command, section):
+        cfg = _write_config(tmp_path / "c.json", section)
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        assert not (run_cli.cwd / "out").exists()
 
     def test_unknown_config_keys_are_rejected(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", {"spectre": {}})
@@ -401,3 +455,30 @@ def test_bench_subcommand_prints_timings(run_cli, capsys):
     out = capsys.readouterr().out
     assert "pulse_randoms" in out
     assert "poisson_counts" in out
+
+
+SPECTRA_DIGESTS = {
+    "spectra_RRLL_T0.csv": "eed4dcb5fc69146d161660bdfc0ba69d24f87078313f179571bba71c7e0cc7d8",
+    "spectra_RRLL_T125.5.csv": "06b605257dcc5ce69d03ce83810672de99ac1bef7ff9ec8ed6abd542841cc980",
+    "spectra_RRLL_T400.csv": "52edaa005d6db06160f9e9628322e65c36245c435caff738c010b3de825fd2b3",
+    "spectra_RRRR_T0.csv": "3f987f8a6a80e3435d02869e3624918a964dcefb8ab3b5a345a20de56b6367cd",
+    "spectra_RRRR_T125.5.csv": "7c45ea2806196d550b5ab762b0e724c9524c9eb16c59868c907bbf2f553ed522",
+    "spectra_RRRR_T400.csv": "9087e9100f620c5b62232b6faf887e5cbbc69b55b11723e572bcac152ce0acb6",
+    "spectra_RRVH_T0.csv": "b5bcc29ea7db8f00bc325f49cd24e47a8a54777a2aa3566fb9a5989d9ddcbdbc",
+    "spectra_RRVH_T125.5.csv": "c4e6d4994b8b8f1b751620ecd8edaae7343b813f21342c300626f40ede549b55",
+    "spectra_RRVH_T400.csv": "084497e210b3afb41fa2ee5e890de4a52b5b7698f9149f8137604a60b4f2a7d3",
+    # RRVV carries no delay dependence, so its three tables coincide
+    "spectra_RRVV_T0.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
+    "spectra_RRVV_T125.5.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
+    "spectra_RRVV_T400.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
+}
+CONTRAST_MAP_DIGESTS = {
+    "contrast_map.csv": "25d43df1b7d442bcbe95135b0db61bfa4f4947a74bedf1bd2307deb4ab23fa58",
+    "ratios.csv": "5c8459f9d0ee051f7835388d52f2c478dc401283fbf702442661c57bb73d722c",
+}
+RECONSTRUCTION_DIGESTS = {
+    "reconstruction.csv": "1b635ad5affd3ffb597af60c229f6feded95a23b6080c779906a205993aaa9ab",
+}
+DETECTOR_DIGESTS = {
+    "records.csv": "a12080936e9223c834562475036f5fe758ba8bb17b45ac6e40d8ad067a257284",
+}

@@ -20,6 +20,7 @@ from fwmqkd.session import (
     _build_trajectory,
     _draw_batch,
     decode_bits,
+    decode_matrix,
     decode_to_text,
     encode_message,
     run_pulse,
@@ -169,6 +170,19 @@ class TestDecoding:
         p = np.array([ch.fixed_threshold + eps, ch.fixed_threshold - eps])
         np.testing.assert_array_equal(decode_bits(p, ch, "fixed"), [1, 0])
 
+    def test_rows_report_whether_they_fell_back_to_the_midpoint(self):
+        ch = _channel(540.0, THETA_SPLIT)
+        rows = np.array([
+            [0.8, -0.95, 0.75, -0.9],                     # both bits present
+            [ch.cal_p1, ch.cal_p1 + 1e-3, np.nan, 0.81],  # tight cluster
+            [np.nan] * 4,                                 # nothing decided yet
+        ])
+        bits, used = decode_matrix(rows, ch)
+        np.testing.assert_array_equal(used, [False, True, True])
+        np.testing.assert_array_equal(bits[1], [1, 1, -1, 1])
+        _, used = decode_matrix(rows, ch, "fixed")
+        np.testing.assert_array_equal(used, [True, True, True])
+
     def test_unknown_mode_is_rejected(self):
         ch = _channel()
         with pytest.raises(ParameterError):
@@ -274,6 +288,21 @@ class TestRunSession:
         report = run_session(SessionConfig(seed=2, threshold_mode="fixed"))
         assert report.decoded_message == "Tar Heel"
 
+    def test_trajectory_reports_the_threshold_each_budget_used(self):
+        running = run_session(SessionConfig(seed=2))
+        fixed = run_session(SessionConfig(seed=2, threshold_mode="fixed"))
+        assert {row["threshold"] for row in fixed.to_dict()["trajectory"]} == {"midpoint"}
+        rows = running.to_dict()["trajectory"]
+        # budget 0 has seen no photon; the final budget sees both bit values
+        assert rows[0]["threshold"] == "midpoint"
+        assert rows[-1]["threshold"] == "running-mean"
+        # the threshold mode never changes a drawn photon, so a budget that
+        # fell back decodes exactly as fixed mode does at that budget
+        used = running.trajectory.used_midpoint
+        np.testing.assert_array_equal(running.trajectory.slot_contrast, fixed.trajectory.slot_contrast)
+        np.testing.assert_array_equal(running.trajectory.slot_estimate[used],
+                                      fixed.trajectory.slot_estimate[used])
+
     def test_empty_message_is_rejected(self):
         with pytest.raises(ParameterError):
             run_session(SessionConfig(message=""))
@@ -329,10 +358,10 @@ def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, thresho
     t_mat = h_mat + v_mat
     with np.errstate(invalid="ignore"):
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-    decoded = session.decode_matrix(p_mat, channel, threshold_mode)
+    decoded, used_midpoint = session.decode_matrix(p_mat, channel, threshold_mode)
     correct = decoded == bits[None, :]
     return session.Trajectory(budgets, t_mat.mean(axis=1), a_mat.mean(axis=1),
-                              correct.mean(axis=1), (decoded < 0).sum(axis=1),
+                              correct.mean(axis=1), (decoded < 0).sum(axis=1), used_midpoint,
                               t_mat.astype(np.int64), p_mat, decoded)
 
 
@@ -394,6 +423,18 @@ class TestTrajectoryReference:
     ], ids=["empty-slots", "no-photons", "one-cycle", "one-slot"])
     def test_edge_cases(self, n_h, n_v, mask, cycles, bits):
         _check_against_reference(n_h, n_v, mask, cycles, bits)
+
+    def test_a_tight_cluster_falls_back_at_every_budget(self):
+        # every photon lands in H, so every decided slot reads contrast +1
+        n_h = np.array([1, 0, 2, 1, 1, 0, 0, 3], dtype=np.int64)
+        n_v = np.zeros(8, dtype=np.int64)
+        mask = np.ones(8, dtype=bool)
+        bits = np.array([1, 0, 1, 0], dtype=np.int64)
+        traj = _build_trajectory(*_events(n_h, n_v, mask, 2), bits.size, bits,
+                                 _channel(), "running-mean")
+        assert traj.budget.size == 4 and traj.used_midpoint.all()
+        assert {row["threshold"] for row in traj.curve_rows()} == {"midpoint"}
+        np.testing.assert_array_equal(traj.slot_estimate[-1], [1, 1, 1, 1])
 
     def test_session_longer_than_one_block(self, monkeypatch):
         monkeypatch.setattr(session, "BLOCK_PULSES", 200)
