@@ -1,4 +1,4 @@
-"""Timing comparison of the compiled kernels against the array fallback."""
+"""Timings of the sampling and search kernels."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import time
 
 import numpy as np
 
-from ._kernels import _purepy
+from ._kernels import poisson_counts, pulse_randoms, se_argmin
 from .reconstruct import DEFAULT_GRID, _ratio_tables
-
-try:
-    from ._kernels import _core
-except ImportError:
-    _core = None
 
 
 def _best_of(func, repeats: int) -> float:
@@ -24,26 +19,26 @@ def _best_of(func, repeats: int) -> float:
     return best
 
 
-def _workloads(module, pulses: int, ratio_pairs: np.ndarray):
+def _workloads(pulses: int, ratio_pairs: np.ndarray):
     psi, phi, tab0, tab45 = _ratio_tables(DEFAULT_GRID)
     lam = np.full(pulses, 0.8)
-    u = module.pulse_randoms(1, 0, 0, pulses)[1]
+    u = pulse_randoms(1, 0, 0, pulses)[1]
 
     def randoms():
-        module.pulse_randoms(1, 0, 0, pulses)
+        pulse_randoms(1, 0, 0, pulses)
 
     def poisson():
-        module.poisson_counts(u, lam, 5)
+        poisson_counts(u, lam, 5)
 
     def argmin():
         for g0, g45 in ratio_pairs:
-            module.se_argmin(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
+            se_argmin(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
 
     return {"pulse_randoms": randoms, "poisson_counts": poisson, "se_argmin": argmin}
 
 
 def run_bench(pulses: int = 200_000, pairs: int = 20, repeats: int = 3) -> dict:
-    """Time each kernel under both backends and report the speedups."""
+    """Time each kernel, best of `repeats` runs after one warm-up."""
     rng = np.random.default_rng(7)
     ratio_pairs = rng.uniform(0.1, 5.0, size=(pairs, 2))
 
@@ -51,22 +46,11 @@ def run_bench(pulses: int = 200_000, pairs: int = 20, repeats: int = 3) -> dict:
         "pulses": pulses,
         "se_argmin_pairs": pairs,
         "repeats": repeats,
-        "compiled_available": _core is not None,
         "kernels": {},
     }
-    modules = {"numpy": _purepy}
-    if _core is not None:
-        modules["compiled"] = _core
-    timings: dict[str, dict[str, float]] = {}
-    for backend, module in modules.items():
-        for name, work in _workloads(module, pulses, ratio_pairs).items():
-            work()
-            timings.setdefault(name, {})[backend] = _best_of(work, repeats)
-    for name, per_backend in timings.items():
-        entry = {f"seconds_{backend}": t for backend, t in per_backend.items()}
-        if "compiled" in per_backend:
-            entry["speedup"] = per_backend["numpy"] / per_backend["compiled"]
-        report["kernels"][name] = entry
+    for name, work in _workloads(pulses, ratio_pairs).items():
+        work()
+        report["kernels"][name] = {"seconds": _best_of(work, repeats)}
     return report
 
 
@@ -75,14 +59,6 @@ def format_report(report: dict) -> str:
         f"pulses={report['pulses']}  se_argmin pairs={report['se_argmin_pairs']}"
         f"  repeats={report['repeats']}",
     ]
-    if not report["compiled_available"]:
-        lines.append("compiled backend not available, timing the fallback only")
     for name, entry in report["kernels"].items():
-        parts = [f"{name:16s}"]
-        for key in ("seconds_numpy", "seconds_compiled"):
-            if key in entry:
-                parts.append(f"{key.split('_')[1]}={entry[key] * 1e3:9.3f} ms")
-        if "speedup" in entry:
-            parts.append(f"speedup={entry['speedup']:6.2f}x")
-        lines.append("  ".join(parts))
+        lines.append(f"{name:16s}  {entry['seconds'] * 1e3:9.3f} ms")
     return "\n".join(lines)

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("qkd", "run a full key distribution session")
     add("detector-check", "exercise photon counting, SiPM readout and contrast resolution")
 
-    p_bench = sub.add_parser("bench", help="time the compiled kernels against the fallback")
+    p_bench = sub.add_parser("bench", help="time the sampling and search kernels")
     p_bench.add_argument("--pulses", type=int, default=200_000)
     p_bench.add_argument("--repeats", type=int, default=3)
     return parser

@@ -105,12 +105,25 @@ def draw_photon_counts(
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
 
     u_gain, u_h, u_v, delay_bits, basis_bits = pulse_randoms(seed, stream, start, count)
+    gain, n_h, n_v, clamped = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config)
+    return DetectionBatch(n_h, n_v, clamped, gain, delay_bits, basis_bits)
+
+
+def counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config: AttenuationConfig):
+    """Map one batch of pulse uniforms to gains and clamped port counts.
+
+    Each port's Poisson mean is the gain times its share of the photon
+    budget, gain * (mean * (i / (i_h + i_v))), evaluated in that order.
+    i_h and i_v are scalars or per-pulse arrays with a positive sum.
+    Returns (gain, n_h, n_v, clamped), clamped where either port clamped.
+    """
     gain = gain_from_uniform(u_gain, config.g2_target)
-    lam_h = np.ascontiguousarray(gain * (config.mean_total_photons * (i_h / total)) * np.ones(count))
-    lam_v = np.ascontiguousarray(gain * (config.mean_total_photons * (i_v / total)) * np.ones(count))
+    total = i_h + i_v
+    lam_h = gain * (config.mean_total_photons * (i_h / total))
+    lam_v = gain * (config.mean_total_photons * (i_v / total))
     n_h, clamped_h = poisson_counts(u_h, lam_h, config.max_photons)
     n_v, clamped_v = poisson_counts(u_v, lam_v, config.max_photons)
-    return DetectionBatch(n_h, n_v, clamped_h | clamped_v, gain, delay_bits, basis_bits)
+    return gain, n_h, n_v, clamped_h | clamped_v
 
 
 def compute_g2(total_counts) -> float:
@@ -173,11 +186,11 @@ def accumulate_contrast(n_h, n_v) -> ContrastStats:
         raise DegenerateInputError("no photons in any record, contrast is undefined")
     p_cum = (total_h - total_v) / pooled
     p_k = (n_h[mask] - n_v[mask]) / totals[mask]
-    p_bar = math.fsum(p_k) / m_used
+    p_bar = math.fsum(p_k.tolist()) / m_used
     if m_used < 2:
         sigma = 0.0
     else:
-        residual = math.fsum((p - p_bar) ** 2 for p in p_k)
+        residual = math.fsum(((p_k - p_bar) ** 2).tolist())
         sigma = math.sqrt(residual / (m_used * (m_used - 1)))
     return ContrastStats(p_bar, p_cum, sigma, m_total, m_used, total_h, total_v)
 

@@ -3,8 +3,8 @@
 Every run writes its tables as CSV (LF line endings, '.' decimals, shortest
 round-trip float formatting) plus a manifest.json naming each output with
 its SHA-256 digest.  Nothing time-dependent goes into the files, so
-recreating a run with the same config, seed and backend reproduces every
-byte, manifest included.
+recreating a run with the same config and seed reproduces every byte,
+manifest included.
 """
 
 from __future__ import annotations

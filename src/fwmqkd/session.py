@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import BACKEND, STREAM_SESSION, poisson_counts, pulse_randoms
+from ._kernels import BACKEND, STREAM_SESSION, pulse_randoms
 from .errors import DegenerateInputError, MessageEncodingError, ParameterError
 from .optics import detected_intensities, polarization_contrast
-from .photons import AttenuationConfig, gain_from_uniform
+from .photons import AttenuationConfig, counts_from_uniforms
 from .reconstruct import THETA_MIX, THETA_SPLIT
 from .spectral import ModelParams, field_components, wavelength_to_energy
 
@@ -193,21 +193,16 @@ def _draw_batch(config: SessionConfig, channel: ChannelModel, start: int, count:
     index.  Forcing a bit or basis replaces the random choice but leaves the
     photon uniforms untouched.
     """
-    att = config.attenuation
     u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
     if alice_force is not None:
         alice = np.full(count, alice_force, dtype=alice.dtype)
     if basis_force is not None:
         basis = np.full(count, basis_force, dtype=basis.dtype)
-    gain = gain_from_uniform(u_gain, att.g2_target)
-    i_h = channel.itable[alice, basis, 0]
-    i_v = channel.itable[alice, basis, 1]
-    total = i_h + i_v
-    lam_h = np.ascontiguousarray(gain * (att.mean_total_photons * (i_h / total)))
-    lam_v = np.ascontiguousarray(gain * (att.mean_total_photons * (i_v / total)))
-    n_h, clamped_h = poisson_counts(u_h, lam_h, att.max_photons)
-    n_v, clamped_v = poisson_counts(u_v, lam_v, att.max_photons)
-    return n_h, n_v, alice.astype(np.int64), basis.astype(np.int64), clamped_h | clamped_v
+    _, n_h, n_v, clamped = counts_from_uniforms(
+        u_gain, u_h, u_v, channel.itable[alice, basis, 0], channel.itable[alice, basis, 1],
+        config.attenuation,
+    )
+    return n_h, n_v, alice.astype(np.int64), basis.astype(np.int64), clamped
 
 
 def run_pulse(config: SessionConfig, channel: ChannelModel, index: int,

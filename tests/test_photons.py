@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fwmqkd._kernels import STREAM_SESSION
 from fwmqkd.errors import DegenerateInputError, ParameterError
@@ -189,6 +191,23 @@ class TestAccumulateContrast:
         shuffled = accumulate_contrast(n_h[perm], n_v[perm])
         assert base.p_bar == shuffled.p_bar
         assert base.sigma == shuffled.sigma
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=300)
+           .filter(lambda rows: any(h + v for h, v in rows)))
+    def test_sums_match_the_per_record_reference(self, rows):
+        # Reference: per-record generator sums, which the array sums must equal.
+        n_h = np.array([h for h, _ in rows], dtype=np.int64)
+        n_v = np.array([v for _, v in rows], dtype=np.int64)
+        totals = n_h + n_v
+        mask = totals > 0
+        p_k = (n_h[mask] - n_v[mask]) / totals[mask]
+        m_used = p_k.size
+        p_bar = math.fsum(p_k) / m_used
+        stats = accumulate_contrast(n_h, n_v)
+        assert stats.p_bar == p_bar
+        if m_used > 1:
+            residual = math.fsum((p - p_bar) ** 2 for p in p_k)
+            assert stats.sigma == math.sqrt(residual / (m_used * (m_used - 1)))
 
     def test_degenerate_and_invalid_inputs(self):
         with pytest.raises(DegenerateInputError):
