@@ -34,7 +34,7 @@ from .session import (
 )
 from .spectral import Condition, ModelParams, field_components, signal_spectrum
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AttenuationConfig",

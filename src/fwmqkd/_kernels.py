@@ -21,6 +21,10 @@ STREAM_DETECTOR = 2
 # 1 MiB, small enough to stay in a core's L2 cache across the ten rounds.
 CHUNK_PULSES = 1 << 14
 
+# poisson_counts tests for an all-zero p only every this many levels, so the
+# usual small max_photons never pays for the extra pass.
+POISSON_STOP_CHECK = 16
+
 # Philox4x32-10 constants (multipliers and Weyl key increments).
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -115,7 +119,10 @@ def poisson_counts(u: np.ndarray, lam: np.ndarray, max_photons: int):
 
     The count is the number of CDF levels below u, accumulated with the
     recurrence p_k = p_{k-1} * lam / k, so a clamp is exactly the event
-    u > CDF(max_photons).  Returns (counts int64, clamped bool).
+    u > CDF(max_photons).  Once every p has underflowed to 0 the CDF is
+    final and each remaining level adds the same u > cdf, so the loop adds
+    them in one step; it looks for that every POISSON_STOP_CHECK levels.
+    Returns (counts int64, clamped bool).
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -126,6 +133,9 @@ def poisson_counts(u: np.ndarray, lam: np.ndarray, max_photons: int):
         n += u > cdf
         p = p * (lam / k)
         cdf = cdf + p
+        if k % POISSON_STOP_CHECK == 0 and not p.any():
+            n += (max_photons - k) * (u > cdf)
+            break
     clamped = u > cdf
     return n, clamped
 

@@ -13,7 +13,7 @@ import sys
 from . import __version__, bench
 from ._kernels import BACKEND
 from .config import load_config, resolve_seed
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DegenerateInputError, MessageEncodingError, ParameterError
 from .pipeline import (
     resolve_output_dir,
     run_contrast_map,
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, DegenerateInputError, MessageEncodingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -42,16 +42,10 @@ class SignalField:
         phi = wrap_phase(phi)
         return cls(a_h / scale, a_v / scale, phi)
 
-    @property
-    def jones(self) -> np.ndarray:
-        """Jones vector in the (H, V) basis."""
-        return np.array([self.a_h * np.exp(1j * self.phi), self.a_v])
 
-
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
-    wrapped = -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
-    return wrapped
+def wrap_phase(phi):
+    """Wrap an angle, or an array of angles, to the interval (-pi, pi]."""
+    return -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -69,25 +63,13 @@ def qwp_matrix(theta: float) -> np.ndarray:
     return rotation_matrix(-theta) @ retarder @ rotation_matrix(theta)
 
 
-def detected_intensities(field: SignalField, theta_qwp: float) -> tuple[float, float]:
+def intensity_pair(a_h, a_v, phi, theta_qwp: float):
     """Port intensities (I_H, I_V) behind the wave plate and splitter.
 
-    I_X = |Pi_X Q(theta) e_S|^2 with Pi_H = diag(1, 0), Pi_V = diag(0, 1).
-    At theta = 0 the plate only retards V, so the split is (A_H^2, A_V^2)
-    and the phase is invisible; at theta = 45 deg it reduces to
-    I_H = (1 + 2 A_H A_V sin phi) / 2.
-    """
-    out = qwp_matrix(theta_qwp) @ field.jones
-    i_h = float(np.abs(out[0]) ** 2)
-    i_v = float(np.abs(out[1]) ** 2)
-    return i_h, i_v
-
-
-def intensity_pair(a_h, a_v, phi, theta_qwp: float):
-    """Broadcasting form of detected_intensities over amplitude/phase arrays.
-
-    Uses the same Q(theta) entries applied componentwise, so it agrees with
-    the matrix route to rounding.
+    I_X = |Pi_X Q(theta) e_S|^2 with Pi_H = diag(1, 0), Pi_V = diag(0, 1),
+    applied componentwise so the field arrays broadcast.  At theta = 0 the
+    plate only retards V, so the split is (A_H^2, A_V^2) and the phase is
+    invisible; at theta = 45 deg it reduces to I_H = (1 + 2 A_H A_V sin phi) / 2.
     """
     q = qwp_matrix(theta_qwp)
     e_h = np.asarray(a_h) * np.exp(1j * np.asarray(phi))
@@ -97,11 +79,19 @@ def intensity_pair(a_h, a_v, phi, theta_qwp: float):
     return np.abs(out_h) ** 2, np.abs(out_v) ** 2
 
 
-def polarization_contrast(i_h: float, i_v: float) -> float:
-    """Normalized port contrast (I_H - I_V) / (I_H + I_V)."""
-    if i_h < 0 or i_v < 0:
+def detected_intensities(field: SignalField, theta_qwp: float) -> tuple[float, float]:
+    """intensity_pair of one field as 1-element arrays, equal to the array call bit for bit."""
+    i_h, i_v = intensity_pair([field.a_h], [field.a_v], [field.phi], theta_qwp)
+    return float(i_h[0]), float(i_v[0])
+
+
+def polarization_contrast(i_h, i_v):
+    """Normalized port contrast (I_H - I_V) / (I_H + I_V), elementwise."""
+    i_h = np.asarray(i_h, dtype=np.float64)
+    i_v = np.asarray(i_v, dtype=np.float64)
+    if np.any(i_h < 0) or np.any(i_v < 0):
         raise ParameterError("intensities must be non-negative")
     total = i_h + i_v
-    if total == 0.0:
+    if np.any(total == 0.0):
         raise DegenerateInputError("zero total intensity has no contrast")
     return (i_h - i_v) / total

@@ -20,7 +20,7 @@ import numpy as np
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
 from .config import ENV_OUTPUT_DIR, attenuation_from, grid_spec_from, model_params_from, session_config_from
 from .errors import ConfigError
-from .optics import intensity_pair
+from .optics import detected_intensities, intensity_pair, polarization_contrast
 from .photons import (
     accumulate_contrast,
     compute_g2,
@@ -31,7 +31,7 @@ from .photons import (
 )
 from .reconstruct import THETA_MIX, THETA_SPLIT, intensity_ratio, reconstruct_map
 from .session import run_session
-from .spectral import Condition, signal_spectrum, wavelength_to_energy
+from .spectral import Condition, field_arrays, field_components, signal_spectrum
 
 MANIFEST_NAME = "manifest.json"
 
@@ -130,20 +130,6 @@ def _wavelength_grid(section: dict) -> np.ndarray:
     return np.linspace(section["lambda_min"], section["lambda_max"], int(section["points"]))
 
 
-def _field_arrays(t: float, lams: np.ndarray, params):
-    """Normalized field arrays (A_H, A_V, phi) along a wavelength axis."""
-    energies = wavelength_to_energy(lams, params)
-    s_h = signal_spectrum(t, energies, Condition.RRVH, params)
-    s_v = signal_spectrum(t, energies, Condition.RRVV, params)
-    total = np.abs(s_h) ** 2 + np.abs(s_v) ** 2
-    scale = np.sqrt(total)
-    a_h = np.abs(s_h) / scale
-    a_v = np.abs(s_v) / scale
-    phi = np.angle(s_h) - np.angle(s_v)
-    phi = -((-phi + np.pi) % (2.0 * np.pi) - np.pi)
-    return energies, a_h, a_v, phi, total
-
-
 def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     """One CSV per (delay, tensor condition) over the detection-energy grid."""
     section = config["spectra"]
@@ -199,11 +185,11 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     contrasts = []
     gammas = []
     for t in t_list:
-        _, a_h, a_v, phi, _ = _field_arrays(t, lams, params)
+        a_h, a_v, phi = field_arrays(t, lams, params)
         for theta in (THETA_SPLIT, THETA_MIX):
             i_h, i_v = intensity_pair(a_h, a_v, phi, theta)
-            contrasts.append((i_h - i_v) / (i_h + i_v))
-            gammas.append(i_h / (i_v + xi))
+            contrasts.append(polarization_contrast(i_h, i_v))
+            gammas.append(intensity_ratio(i_h, i_v, xi))
     # Rows run over delays, then (map only) the two settings, then wavelengths.
     n_t, n = len(t_list), lams.size
 
@@ -292,7 +278,8 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
                        if live_keys else []))
 
     out_rows = []
-    residuals = []
+    ports = []
+    p_meas = []
     n_degenerate = 0
     for key in keys:
         t, lam = key
@@ -306,10 +293,11 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
                          "true" if res.degenerate else "false"])
         for col, theta in ((0, THETA_SPLIT), (1, THETA_MIX)):
             gamma = cell[key][col]
-            p_meas = 2.0 * gamma * (1.0 + grid.xi) / (1.0 + gamma) - 1.0
-            rec_h, rec_v = intensity_pair(rec.a_h, rec.a_v, rec.phi, theta)
-            p_rec = float((rec_h - rec_v) / (rec_h + rec_v))
-            residuals.append(abs(p_rec - p_meas))
+            p_meas.append(2.0 * gamma * (1.0 + grid.xi) / (1.0 + gamma) - 1.0)
+            # Scalar on purpose: the array evaluation differs in the last bit.
+            ports.append(intensity_pair(rec.a_h, rec.a_v, rec.phi, theta))
+    i_h, i_v = np.reshape(ports, (-1, 2)).T
+    residuals = np.abs(polarization_contrast(i_h, i_v) - np.array(p_meas)).tolist()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"
@@ -392,7 +380,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         raise ConfigError("detector_check.pulses must be at least 1")
     attenuation = attenuation_from(section)
     t = float(section["t"])
-    _, a_h, a_v, phi, _ = _field_arrays(t, np.asarray([section["lambda_nm"]]), params)
+    fld = field_components(t, section["lambda_nm"], params)
 
     payload = {
         "pulses": pulses,
@@ -404,10 +392,10 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     stats = {}
     records = []
     for idx, (theta_deg, theta) in enumerate(((0, THETA_SPLIT), (45, THETA_MIX))):
-        i_h, i_v = intensity_pair(a_h[0], a_v[0], phi[0], theta)
+        i_h, i_v = detected_intensities(fld, theta)
         start = idx * pulses
         batch = draw_photon_counts(
-            float(i_h), float(i_v), attenuation, seed,
+            i_h, i_v, attenuation, seed,
             count=pulses, start=start, stream=STREAM_DETECTOR,
         )
         noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses, pulses)
@@ -422,9 +410,9 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         setting_stats["g2_measured"] = compute_g2(batch.n_h + batch.n_v)
         payload["settings"][f"theta_{theta_deg}"] = {
             "theta_deg": theta_deg,
-            "i_h": float(i_h),
-            "i_v": float(i_v),
-            "gamma": intensity_ratio(float(i_h), float(i_v)),
+            "i_h": i_h,
+            "i_v": i_v,
+            "gamma": float(intensity_ratio(i_h, i_v)),
             "clamped_pulses": int(batch.clamped.sum()),
             "sipm_roundtrip_ok": roundtrip_ok,
             "sipm_roundtrip_total": 2 * pulses,

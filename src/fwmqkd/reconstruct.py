@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import se_argmin
 from .errors import ParameterError
-from .optics import SignalField, detected_intensities, intensity_pair
+from .optics import SignalField, intensity_pair
 
 THETA_SPLIT = 0.0
 THETA_MIX = math.pi / 4.0
@@ -63,13 +63,21 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def intensity_ratio(i_h: float, i_v: float, xi: float = DEFAULT_GRID.xi) -> float:
-    """Regularized port ratio I_H / (I_V + xi)."""
-    if i_h < 0 or i_v < 0:
+def intensity_ratio(i_h, i_v, xi: float = DEFAULT_GRID.xi):
+    """Regularized port ratio I_H / (I_V + xi), elementwise."""
+    i_h = np.asarray(i_h, dtype=np.float64)
+    i_v = np.asarray(i_v, dtype=np.float64)
+    if np.any(i_h < 0) or np.any(i_v < 0):
         raise ParameterError("intensities must be non-negative")
     if xi <= 0:
         raise ParameterError("xi must be positive")
     return i_h / (i_v + xi)
+
+
+def _setting_ratios(a_h, a_v, phi, xi: float):
+    """Gamma at the split and mix settings for broadcastable field arrays."""
+    return tuple(intensity_ratio(*intensity_pair(a_h, a_v, phi, theta), xi)
+                 for theta in (THETA_SPLIT, THETA_MIX))
 
 
 @lru_cache(maxsize=8)
@@ -77,22 +85,17 @@ def _ratio_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     """Precompute Gamma(psi, phi) at both settings, once per grid."""
     psi = grid.psi_axis()
     phi = grid.phi_axis()
-    a_h = np.sin(psi)[:, None]
-    a_v = np.cos(psi)[:, None]
-    tables = []
-    for theta in (THETA_SPLIT, THETA_MIX):
-        i_h, i_v = intensity_pair(a_h, a_v, phi[None, :], theta)
-        tables.append(np.ascontiguousarray(i_h / (i_v + grid.xi)))
-    return psi, phi, tables[0], tables[1]
+    tab0, tab45 = _setting_ratios(np.sin(psi)[:, None], np.cos(psi)[:, None], phi[None, :], grid.xi)
+    return psi, phi, tab0, tab45
 
 
 def measured_ratios(field: SignalField, grid: GridSpec = DEFAULT_GRID) -> tuple[float, float]:
-    """Ideal ratio pair (Gamma at 0, Gamma at 45 deg) a field would produce."""
-    out = []
-    for theta in (THETA_SPLIT, THETA_MIX):
-        i_h, i_v = detected_intensities(field, theta)
-        out.append(i_h / (i_v + grid.xi))
-    return out[0], out[1]
+    """Ideal ratio pair (Gamma at 0, Gamma at 45 deg) a field would produce.
+
+    Evaluated as 1-element arrays, so a grid field gives its table entries.
+    """
+    g0, g45 = _setting_ratios([field.a_h], [field.a_v], [field.phi], grid.xi)
+    return float(g0[0]), float(g45[0])
 
 
 @dataclass(frozen=True)

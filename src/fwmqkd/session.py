@@ -151,8 +151,7 @@ class ChannelModel:
             fld = field_components(delay, config.lambda_nm, config.params)
             for basis, theta in enumerate((THETA_SPLIT, THETA_MIX)):
                 itable[bit, basis] = detected_intensities(fld, theta)
-        cal_p1 = polarization_contrast(*itable[1, decode_basis])
-        cal_p0 = polarization_contrast(*itable[0, decode_basis])
+        cal_p0, cal_p1 = polarization_contrast(*itable[:, decode_basis].T).tolist()
         if cal_p1 == cal_p0:
             raise DegenerateInputError(
                 "the two delays give identical contrast at the decoding basis"

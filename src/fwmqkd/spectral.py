@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import dawsn
 
-from .errors import ParameterError
+from .errors import DegenerateFieldError, ParameterError
 from .optics import SignalField, wrap_phase
 
 HC_EV_NM = 1239.84198433
@@ -204,15 +204,24 @@ def wavelength_to_energy(lambda_nm, params: ModelParams = DEFAULT_PARAMS):
     return params.delta * e_ev / params.delta_ev
 
 
-def field_components(t: float, lambda_nm: float, params: ModelParams = DEFAULT_PARAMS) -> SignalField:
-    """Normalized signal field at one detection wavelength.
+def field_arrays(t: float, lambda_nm, params: ModelParams = DEFAULT_PARAMS):
+    """Normalized signal field (A_H, A_V, phi) along an array of wavelengths.
 
     The linear analyzer conditions give the two Jones components of the
     emitted field: RRVH is the H projection and RRVV the V projection.  Only
     the relative phase matters, so it is referenced to the V component.
     """
-    energy = wavelength_to_energy(lambda_nm, params)
-    e_h = complex(signal_spectrum(t, energy, Condition.RRVH, params))
-    e_v = complex(signal_spectrum(t, energy, Condition.RRVV, params))
-    phi = wrap_phase(math.atan2(e_h.imag, e_h.real) - math.atan2(e_v.imag, e_v.real))
-    return SignalField.normalized(abs(e_h), abs(e_v), phi)
+    energies = wavelength_to_energy(lambda_nm, params)
+    s_h = signal_spectrum(t, energies, Condition.RRVH, params)
+    s_v = signal_spectrum(t, energies, Condition.RRVV, params)
+    scale = np.sqrt(np.abs(s_h) ** 2 + np.abs(s_v) ** 2)
+    if np.any(scale == 0.0):
+        raise DegenerateFieldError("both amplitudes are zero")
+    phi = wrap_phase(np.angle(s_h) - np.angle(s_v))
+    return np.abs(s_h) / scale, np.abs(s_v) / scale, phi
+
+
+def field_components(t: float, lambda_nm: float, params: ModelParams = DEFAULT_PARAMS) -> SignalField:
+    """field_arrays at one wavelength, evaluated as a 1-element array."""
+    a_h, a_v, phi = field_arrays(t, [lambda_nm], params)
+    return SignalField(float(a_h[0]), float(a_v[0]), float(phi[0]))

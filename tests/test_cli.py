@@ -262,20 +262,25 @@ class TestQkd:
     # trajectory.csv digests and report fields of a 16-char, 300-cycle
     # session at the default seed, captured before the session engine was
     # rewritten to draw in blocks; any change to them changes the artifact.
-    @pytest.mark.parametrize("preset,trajectory_sha,sift_retention", [
+    # The qkd_report.json digests were captured at artifact version 0.2.0,
+    # when the channel calibration moved onto the array field path.
+    @pytest.mark.parametrize("preset,trajectory_sha,report_sha,sift_retention", [
         ("540nm", "73555f8ec4060c9fc4c616035db022d5a94afb88e56abb327ae8564fe9fc07a6",
+         "34974d3dfcae03b5cc49a5a5d9200e40f26ed50f8126ccd6992f9fef7b1439c8",
          0.2523809523809524),
         ("500nm", "34b8dbbe0988d7c2ecd52b1428ec9b24f821c9416cbcf990c4e2884bf735889f",
+         "21fe10c3e70aaeace35e5953d4b1a6217c479e0d6e9eb163986c952c2fb6014e",
          0.2538690476190476),
     ])
     def test_small_session_matches_golden_digest(self, run_cli, tmp_path, preset,
-                                                 trajectory_sha, sift_retention):
+                                                 trajectory_sha, report_sha, sift_retention):
         message = "Spin-encoded QKD"
         cfg = _write_config(tmp_path / "c.json",
                             {"qkd": {"preset": preset, "message": message, "cycles": 300}})
         assert run_cli("qkd", "--config", cfg, "--out", "q") == 0
-        data = (run_cli.cwd / "q" / "trajectory.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == trajectory_sha
+        for name, sha in (("trajectory.csv", trajectory_sha), ("qkd_report.json", report_sha)):
+            data = (run_cli.cwd / "q" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == sha, name
         report = read_json(run_cli.cwd / "q" / "qkd_report.json")
         assert report["decoded_message"] == message
         assert report["sift_retention"] == sift_retention
@@ -383,6 +388,21 @@ class TestCommonBehavior:
     def test_a_rejected_run_leaves_no_output_directory(self, run_cli, tmp_path, command, section):
         cfg = _write_config(tmp_path / "c.json", section)
         assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        assert not (run_cli.cwd / "out").exists()
+
+    # Inputs the library rejects with MessageEncodingError or
+    # DegenerateInputError, which are not ConfigError subclasses.
+    @pytest.mark.parametrize("command,section", [
+        ("qkd", {"qkd": {"message": "\u00e9"}}),
+        ("qkd", {"model": {"k_spin": 0}}),
+        ("detector-check", {"detector_check": {"mean_total_photons": 1e-320}}),
+    ], ids=["non-ascii-message", "indistinct-delays", "no-photons"])
+    def test_rejected_input_exits_2_with_one_line(self, run_cli, tmp_path, capsys,
+                                                  command, section):
+        cfg = _write_config(tmp_path / "c.json", section)
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (run_cli.cwd / "out").exists()
 
     def test_unknown_config_keys_are_rejected(self, run_cli, tmp_path):

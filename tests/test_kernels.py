@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwmqkd import _kernels
@@ -116,6 +116,38 @@ def test_poisson_counts_zero_rate_gives_zero():
     n, clamped = poisson_counts(np.array([0.0, 0.5, 0.999999]), np.zeros(3), 5)
     assert np.array_equal(np.asarray(n), np.zeros(3, dtype=np.int64))
     assert not np.asarray(clamped).any()
+
+
+def _ref_poisson_counts(u, lam, max_photons):
+    """poisson_counts without its early stop: one pass per photon level."""
+    u = np.asarray(u, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    p = np.exp(-lam)
+    cdf = p.copy()
+    n = np.zeros(lam.shape, dtype=np.int64)
+    for k in range(1, max_photons + 1):
+        n += u > cdf
+        p = p * (lam / k)
+        cdf = cdf + p
+    clamped = u > cdf
+    return n, clamped
+
+
+# From no light and a vanishing rate up to rates whose exp(-lam) is near the
+# bottom of the float range (700) or underflows to 0 (746, 1e4).
+POISSON_RATES = [0.0, 1e-300, 0.3, 5.0, 50.0, 700.0, 746.0, 1e4]
+
+
+@settings(max_examples=60)
+@given(rates=st.lists(st.sampled_from(POISSON_RATES), min_size=1, max_size=8),
+       max_photons=st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+       data=st.data())
+def test_poisson_counts_early_stop_matches_the_full_loop(rates, max_photons, data):
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(rates),
+                                    max_size=len(rates))))
+    lam = np.array(rates)
+    _assert_same_arrays(poisson_counts(u, lam, max_photons),
+                        _ref_poisson_counts(u, lam, max_photons))
 
 
 def test_se_argmin_prefers_first_row_major_minimum():

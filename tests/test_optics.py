@@ -142,7 +142,3 @@ class TestSignalField:
     def test_normalized_rejects_the_zero_field(self):
         with pytest.raises(DegenerateFieldError):
             SignalField.normalized(0.0, 0.0, 0.0)
-
-    def test_jones_vector_layout(self):
-        f = SignalField(0.6, 0.8, math.pi / 2)
-        np.testing.assert_allclose(f.jones, [0.6j, 0.8], atol=1e-15)
