@@ -21,6 +21,11 @@ STREAM_DETECTOR = 2
 # 1 MiB, small enough to stay in a core's L2 cache across the ten rounds.
 CHUNK_PULSES = 1 << 14
 
+# Ratio pairs per se_argmin block.  Its bound arrays are (pairs, rows): 128
+# pairs on the default 315-row grid keep each near 320 KiB, where bounding all
+# 2,000 pairs of a field map at once raised the run's peak RSS by half.
+ARGMIN_BLOCK_PAIRS = 128
+
 # poisson_counts tests for an all-zero p only every this many levels, so the
 # usual small max_photons never pays for the extra pass.
 POISSON_STOP_CHECK = 16
@@ -140,17 +145,117 @@ def poisson_counts(u: np.ndarray, lam: np.ndarray, max_photons: int):
     return n, clamped
 
 
-def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0: float, g45: float,
-              tie_eps: float):
-    """Squared-error argmin over the (psi, phi) ratio tables.
+def _range_bound(lo, hi, g):
+    """Lower bound of the computed (t - g) ** 2 over every t in [lo, hi]."""
+    return np.where(g < lo, (lo - g) ** 2, np.where(g > hi, (hi - g) ** 2, 0.0))
 
-    Row-major first minimum, i.e. ties resolve to the lowest psi index and
-    then the lowest phi index.  Returns (i_psi, i_phi, se_min, n_ties) where
-    n_ties counts grid points within tie_eps of the minimum.
+
+def _bracket_bound(tab45, g45):
+    """Lower bound of the computed (t - g45) ** 2 over each non-decreasing row.
+
+    A branchless bisection over all (pair, row) cells at once finds, per
+    cell, the first entry >= g45.  It and the entry before it bracket g45,
+    and every other entry of the row lies beyond one of them.  Meaningless
+    for rows out of order.
     """
-    se = (tab0 - g0) ** 2 + (tab45 - g45) ** 2
-    flat = int(np.argmin(se))
-    se_min = float(se.flat[flat])
-    n_ties = int(np.count_nonzero(se <= se_min + tie_eps))
-    i_psi, i_phi = divmod(flat, se.shape[1])
-    return i_psi, i_phi, se_min, n_ties
+    n_rows, n_cols = tab45.shape
+    flat = tab45.ravel()
+    g = g45[:, None]
+    start = np.arange(n_rows) * n_cols
+    pos = np.repeat(start[None, :], g45.size, axis=0)
+    n = n_cols
+    while n > 1:
+        half = n // 2
+        pos += half * (flat[pos + half] < g)
+        n -= half
+    pos += flat[pos] < g
+    k = pos - start
+    lower = np.where(k > 0, (flat[np.maximum(pos - 1, 0)] - g) ** 2, np.inf)
+    upper = np.where(k < n_cols, (flat[np.minimum(pos, flat.size - 1)] - g) ** 2, np.inf)
+    return np.minimum(lower, upper)
+
+
+def _squared_errors(tab0, tab45, rows, g0, g45):
+    """The brute-force SE on table row rows[j] against pair j, one row each."""
+    return (tab0[rows] - g0[:, None]) ** 2 + (tab45[rows] - g45[:, None]) ** 2
+
+
+def _search_block(tab0, tab45, row_stats, g0, g45, tie_eps):
+    """se_argmin's four result arrays for one block of pairs."""
+    n_rows = tab0.shape[0]
+    lo0, hi0, lo45, hi45, sorted45 = row_stats
+    bound45 = np.where(sorted45, _bracket_bound(tab45, g45), _range_bound(lo45, hi45, g45[:, None]))
+    bound = _range_bound(lo0, hi0, g0[:, None]) + bound45
+    best = np.argmin(bound, axis=1)
+    ub = _squared_errors(tab0, tab45, best, g0, g45).min(axis=1)
+    # Row-major order, so each pair's candidate rows are contiguous and the
+    # first minimum among them is the brute force's first minimum.
+    pair, row = np.nonzero(bound <= (ub + tie_eps)[:, None])
+    starts = np.searchsorted(pair, np.arange(g0.size))
+
+    def exact(cand):
+        # At most n_rows candidate rows at a time: no more memory than the table.
+        for a in range(0, cand.size, n_rows):
+            c = cand[a:a + n_rows]
+            yield c, _squared_errors(tab0, tab45, row[c], g0[pair[c]], g45[pair[c]])
+
+    row_min = np.empty(pair.size)
+    row_arg = np.empty(pair.size, dtype=np.intp)
+    for c, se in exact(np.arange(pair.size)):
+        row_min[c] = se.min(axis=1)
+        row_arg[c] = se.argmin(axis=1)
+    se_min = np.minimum.reduceat(row_min, starts)
+    first = np.minimum.reduceat(
+        np.where(row_min == se_min[pair], np.arange(pair.size), pair.size), starts)
+    threshold = se_min + tie_eps
+    n_ties = np.zeros(g0.size, dtype=np.int64)
+    for c, se in exact(np.flatnonzero(row_min <= threshold[pair])):
+        np.add.at(n_ties, pair[c], np.count_nonzero(se <= threshold[pair[c], None], axis=1))
+    return row[first], row_arg[first], se_min, n_ties
+
+
+def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0, g45, tie_eps: float):
+    """Squared-error argmin over the (psi, phi) ratio tables, per ratio pair.
+
+    The result is the brute force's: SE = (tab0 - g0)**2 + (tab45 - g45)**2
+    over the whole table, its row-major first minimum (ties resolve to the
+    lowest psi index, then the lowest phi index), and n_ties, the count of
+    grid points with SE <= SE_min + tie_eps.  Returns (i_psi, i_phi, se_min,
+    n_ties): int, int, float, int for scalar g0 and g45, else int64, int64,
+    float64 and int64 arrays of their broadcast shape.  Tables and ratios
+    are finite.
+
+    Pairs are searched in blocks of ARGMIN_BLOCK_PAIRS, at most one per table
+    column, so a block's (pairs, rows) arrays never outgrow the tables.  Per
+    pair, every row gets a lower bound on its SE: the tab0 term from the
+    row's range, the tab45 term from the entries bracketing g45 in a
+    non-decreasing row or from the range of any other row.  The exact SE of
+    the row with the least bound gives an upper bound ub on the minimum, and
+    only rows whose bound is at most ub + tie_eps are evaluated in full.
+
+    The bound needs no slack.  Round-to-nearest subtraction is monotone in
+    each operand, squaring is monotone in the magnitude and addition is
+    monotone in each term, so the same expression evaluated on the
+    bracketing table values is <= the computed SE of every cell in the row.
+    A pruned row has bound > ub + tie_eps >= SE_min + tie_eps, so it holds
+    neither the minimum nor a tie, and index, SE and n_ties are exact.
+    """
+    tab0 = np.asarray(tab0, dtype=np.float64)
+    tab45 = np.asarray(tab45, dtype=np.float64)
+    g0, g45 = np.broadcast_arrays(np.asarray(g0, dtype=np.float64),
+                                  np.asarray(g45, dtype=np.float64))
+    shape = g0.shape
+    g0, g45 = g0.ravel(), g45.ravel()
+    row_stats = (tab0.min(axis=1), tab0.max(axis=1), tab45.min(axis=1), tab45.max(axis=1),
+                 np.all(np.diff(tab45, axis=1) >= 0, axis=1))
+    out = (np.empty(g0.size, dtype=np.int64), np.empty(g0.size, dtype=np.int64),
+           np.empty(g0.size), np.empty(g0.size, dtype=np.int64))
+    block = max(1, min(ARGMIN_BLOCK_PAIRS, tab0.shape[1]))
+    for a in range(0, g0.size, block):
+        b = slice(a, a + block)
+        for arr, part in zip(out, _search_block(tab0, tab45, row_stats, g0[b], g45[b], tie_eps)):
+            arr[b] = part
+    if not shape:
+        i_psi, i_phi, se_min, n_ties = (arr[0] for arr in out)
+        return int(i_psi), int(i_phi), float(se_min), int(n_ties)
+    return tuple(arr.reshape(shape) for arr in out)

@@ -31,8 +31,7 @@ def _workloads(pulses: int, ratio_pairs: np.ndarray):
         poisson_counts(u, lam, 5)
 
     def argmin():
-        for g0, g45 in ratio_pairs:
-            se_argmin(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
+        se_argmin(tab0, tab45, ratio_pairs[:, 0], ratio_pairs[:, 1], DEFAULT_GRID.tie_eps)
 
     return {"pulse_randoms": randoms, "poisson_counts": poisson, "se_argmin": argmin}
 

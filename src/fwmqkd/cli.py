@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file overriding the defaults")
         p.add_argument("--seed", type=lambda s: int(s, 0), help="random seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker thread cap (never changes output)")
+        p.add_argument("--threads", type=int, help="accepted and ignored; the search runs in one thread")
         return p
 
     add("spectra", "tabulate complex signal spectra per delay and tensor condition")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +46,12 @@ class SignalField:
 
 def wrap_phase(phi):
     """Wrap an angle, or an array of angles, to the interval (-pi, pi]."""
-    return -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
+    wrapped = -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
+    # The remainder can round up to 2 pi, which lands on -pi.  Select pi there
+    # and leave every other element's bits alone, -0.0 included.
+    if np.ndim(wrapped) == 0:
+        return math.pi if wrapped <= -math.pi else wrapped
+    return np.where(wrapped <= -math.pi, math.pi, wrapped)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -58,9 +64,19 @@ def qwp_matrix(theta: float) -> np.ndarray:
     """Quarter-wave plate with fast axis at theta, rotated into the lab frame.
 
     Q(theta) = R(-theta) @ diag(1, i) @ R(theta).  Unitary for any theta.
+    The matrix is cached per angle and read-only.
     """
+    theta = float(theta)
+    # 0.0 and -0.0 compare equal but their matrices differ in the sign of zero.
+    return _qwp_matrix(theta, math.copysign(1.0, theta))
+
+
+@lru_cache(maxsize=32)
+def _qwp_matrix(theta: float, sign: float) -> np.ndarray:
     retarder = np.diag([1.0 + 0.0j, 1.0j])
-    return rotation_matrix(-theta) @ retarder @ rotation_matrix(theta)
+    q = rotation_matrix(-theta) @ retarder @ rotation_matrix(theta)
+    q.flags.writeable = False
+    return q
 
 
 def intensity_pair(a_h, a_v, phi, theta_qwp: float):

@@ -16,7 +16,6 @@ the recovered phi unique up to that physical ambiguity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +27,16 @@ from .optics import SignalField, intensity_pair
 
 THETA_SPLIT = 0.0
 THETA_MIX = math.pi / 4.0
+
+# Largest accepted search grid, in (psi, phi) cells: 100x the default's 99,225.
+# Each ratio table at the cap is 80 MB.
+MAX_GRID_CELLS = 10_000_000
+
+
+def _axis_points(span: float, step: float) -> float:
+    """Points on an axis of `span` sampled every `step`, inf if that overflows."""
+    n = span / step
+    return int(n) + 1 if math.isfinite(n) else math.inf
 
 
 @dataclass(frozen=True)
@@ -42,22 +51,26 @@ class GridSpec:
     tie_eps: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.psi_step <= 0 or self.phi_step <= 0:
+        if not (self.psi_step > 0 and self.phi_step > 0):
             raise ParameterError("grid steps must be positive")
-        if self.phi_max <= self.phi_min:
+        if not self.phi_max > self.phi_min:
             raise ParameterError("phi_max must exceed phi_min")
+        cells = (_axis_points(math.pi / 2.0, self.psi_step)
+                 * _axis_points(self.phi_max - self.phi_min, self.phi_step))
+        if cells > MAX_GRID_CELLS:
+            raise ParameterError(f"grid steps give {cells:.3g} search cells, "
+                                 f"above the cap of {MAX_GRID_CELLS:,}")
         if self.xi <= 0:
             raise ParameterError("xi must be positive")
         if self.tie_eps < 0:
             raise ParameterError("tie_eps must be non-negative")
 
     def psi_axis(self) -> np.ndarray:
-        n = int((math.pi / 2.0) / self.psi_step) + 1
-        return self.psi_step * np.arange(n)
+        return self.psi_step * np.arange(_axis_points(math.pi / 2.0, self.psi_step))
 
     def phi_axis(self) -> np.ndarray:
-        n = int((self.phi_max - self.phi_min) / self.phi_step) + 1
-        return self.phi_min + self.phi_step * np.arange(n)
+        return self.phi_min + self.phi_step * np.arange(
+            _axis_points(self.phi_max - self.phi_min, self.phi_step))
 
 
 DEFAULT_GRID = GridSpec()
@@ -125,37 +138,31 @@ class ReconstructionResult:
 
 def reconstruct_field(gamma_0: float, gamma_45: float, grid: GridSpec = DEFAULT_GRID) -> ReconstructionResult:
     """Recover the field from one measured ratio pair."""
-    if not (math.isfinite(gamma_0) and math.isfinite(gamma_45)):
-        raise ParameterError("ratios must be finite")
-    if gamma_0 < 0 or gamma_45 < 0:
-        raise ParameterError("ratios must be non-negative")
-    psi_axis, phi_axis, tab0, tab45 = _ratio_tables(grid)
-    i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, gamma_0, gamma_45, grid.tie_eps)
-    psi = float(psi_axis[i_psi])
-    phi = float(phi_axis[i_phi])
-    field = SignalField(math.sin(psi), math.cos(psi), phi)
-    return ReconstructionResult(field, psi, se, n_ties, (int(i_psi), int(i_phi)))
+    return reconstruct_map([(gamma_0, gamma_45)], grid)[0]
 
 
 def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID, threads: int = 1) -> list[ReconstructionResult]:
-    """Reconstruct a batch of ratio pairs, optionally across worker threads.
+    """Reconstruct a batch of ratio pairs in one search, results in input order.
 
-    Rows are processed in chunks but results come back in input order, so the
-    output is independent of the thread count.
+    threads is accepted for compatibility and ignored: the search is one
+    vectorized pass, so there is no work to spread across threads.
     """
     pairs = np.asarray(ratio_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ParameterError("expected an (n, 2) array of ratio pairs")
     if threads < 1:
         raise ParameterError("threads must be at least 1")
-    _ratio_tables(grid)
-
-    def _run(rows: np.ndarray) -> list[ReconstructionResult]:
-        return [reconstruct_field(float(g0), float(g45), grid) for g0, g45 in rows]
-
-    if threads == 1 or len(pairs) < 2:
-        return _run(pairs)
-    chunks = np.array_split(pairs, min(threads, len(pairs)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_run, chunks))
-    return [result for part in parts for result in part]
+    not_finite = ~np.isfinite(pairs).all(axis=1)
+    bad = not_finite | (pairs < 0).any(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ParameterError("ratios must be finite" if not_finite[first]
+                             else "ratios must be non-negative")
+    psi_axis, phi_axis, tab0, tab45 = _ratio_tables(grid)
+    i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], grid.tie_eps)
+    results = []
+    for i, j, se_k, ties in zip(i_psi.tolist(), i_phi.tolist(), se.tolist(), n_ties.tolist()):
+        psi = float(psi_axis[i])
+        field = SignalField(math.sin(psi), math.cos(psi), float(phi_axis[j]))
+        results.append(ReconstructionResult(field, psi, se_k, ties, (i, j)))
+    return results

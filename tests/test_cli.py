@@ -390,6 +390,15 @@ class TestCommonBehavior:
         assert run_cli(command, "--config", cfg, "--out", "out") == 2
         assert not (run_cli.cwd / "out").exists()
 
+    def test_an_oversized_search_grid_is_rejected(self, run_cli, tmp_path, capsys):
+        src = tmp_path / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n0.0,520.0,1.0,1.0\n")
+        cfg = _write_config(tmp_path / "c.json", {"grid": {"psi_step": 1e-12}})
+        assert run_cli("reconstruct", "--config", cfg, "--input", src, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid steps give") and err.count("\n") == 1
+        assert not (run_cli.cwd / "out").exists()
+
     # Inputs the library rejects with MessageEncodingError or
     # DegenerateInputError, which are not ConfigError subclasses.
     @pytest.mark.parametrize("command,section", [

@@ -1,5 +1,6 @@
 """Counter RNG, count sampling, and argmin kernels."""
 
+import copy
 import hashlib
 from unittest import mock
 
@@ -171,6 +172,104 @@ def test_se_argmin_tie_tolerance_window():
     i_psi, i_phi, _, n_ties = se_argmin(tab0, zeros, 1.0, 0.0, 1e-12)
     assert (i_psi, i_phi) == (0, 0)
     assert n_ties == 2
+
+
+def _ref_se_argmin(tab0, tab45, g0, g45, tie_eps):
+    """The brute-force search the pruned se_argmin replaced, kept as its oracle."""
+    se = (tab0 - g0) ** 2 + (tab45 - g45) ** 2
+    flat = int(np.argmin(se))
+    se_min = float(se.flat[flat])
+    n_ties = int(np.count_nonzero(se <= se_min + tie_eps))
+    i_psi, i_phi = divmod(flat, se.shape[1])
+    return i_psi, i_phi, se_min, n_ties
+
+
+def _assert_matches_oracle(tab0, tab45, g0, g45, tie_eps):
+    got = se_argmin(tab0, tab45, g0, g45, tie_eps)
+    ref = [_ref_se_argmin(tab0, tab45, a, b, tie_eps) for a, b in zip(g0, g45)]
+    want = [np.array(col, dtype=dtype).reshape(len(ref))
+            for col, dtype in zip(zip(*ref), (np.int64, np.int64, np.float64, np.int64))]
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# Small tables built to stress the pruning: duplicated levels and rows, a
+# constant row, rows out of order, and values 1e-7 apart whose squared errors
+# differ by about 1e-14, next to tie windows from 0 to 0.3.
+_LEVELS = [0.0, 0.25, 0.5, 1.0, 1.0 + 1e-7, 1.0 + 2e-7, 1.05, 1.1, 1.5, 2.0, 3.0]
+_TIE_EPS = [0.0, 1e-14, 1e-12, 1e-6, 0.01, 0.0525, 0.3]
+
+
+@st.composite
+def _search_cases(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    cell = st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 4.0))
+
+    def table(sorted_share):
+        rows = []
+        for _ in range(n_rows):
+            kind = draw(st.sampled_from(["random", "constant", "copy"] + ["sorted"] * sorted_share))
+            if kind == "copy" and rows:
+                row = list(draw(st.sampled_from(rows)))
+                row[draw(st.integers(0, n_cols - 1))] += draw(st.sampled_from([0.0, 1e-7, -0.05]))
+            elif kind == "constant":
+                row = [draw(cell)] * n_cols
+            else:
+                row = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+                if kind == "sorted":
+                    row.sort()
+            rows.append(row)
+        return np.array(rows, dtype=np.float64)
+
+    tab0, tab45 = table(1), table(4)
+    values = np.concatenate([tab0.ravel(), tab45.ravel()])
+    mids = (tab45[:, 1:] + tab45[:, :-1]).ravel() / 2.0
+    ratio = st.one_of(
+        st.sampled_from(values.tolist()),
+        st.sampled_from(mids.tolist() or [0.0]),
+        st.just(0.0),
+        st.sampled_from(values.tolist()).map(lambda v: v + 1e-7),
+        st.floats(0.0, 4.0),
+    )
+    pairs = draw(st.lists(st.tuples(ratio, ratio), min_size=1, max_size=12))
+    g0, g45 = (np.array(col) for col in zip(*pairs))
+    return tab0, tab45, g0, g45, draw(st.sampled_from(_TIE_EPS))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, _kernels.ARGMIN_BLOCK_PAIRS])
+@settings(max_examples=150)
+@given(case=_search_cases())
+def test_pruned_se_argmin_matches_the_brute_force(block, case):
+    tab0, tab45, g0, g45, tie_eps = case
+    with mock.patch.object(_kernels, "ARGMIN_BLOCK_PAIRS", block):
+        _assert_matches_oracle(tab0, tab45, g0, g45, tie_eps)
+        scalar = se_argmin(tab0, tab45, float(g0[0]), float(g45[0]), tie_eps)
+    ref = _ref_se_argmin(tab0, tab45, float(g0[0]), float(g45[0]), tie_eps)
+    assert scalar == ref
+    assert [type(v) for v in scalar] == [int, int, float, int]
+
+
+def test_pruned_se_argmin_on_the_default_grid(tmp_path):
+    from fwmqkd.config import DEFAULTS
+    from fwmqkd.pipeline import _read_ratio_csv, run_contrast_map
+    from fwmqkd.reconstruct import DEFAULT_GRID, _ratio_tables
+
+    config = copy.deepcopy(DEFAULTS)
+    config["contrast_map"]["points"] = 1000
+    ratio_csv = run_contrast_map(config, tmp_path)[1]
+    g0, g45 = np.array([row[2:] for row in _read_ratio_csv(ratio_csv)]).T
+    assert g0.size == 2000
+    # Grid points, the psi = 0 row, zero ratios and midpoints between
+    # adjacent tab45 entries, next to the contrast-map pairs.
+    _, _, tab0, tab45 = _ratio_tables(DEFAULT_GRID)
+    rows = np.arange(0, tab0.shape[0], 7)
+    g0 = np.concatenate([g0, tab0[rows, rows % 300], tab0[0, :3], [0.0, 0.0, 1.0],
+                         tab0[rows, 5]])
+    g45 = np.concatenate([g45, tab45[rows, rows % 300], tab45[0, :3], [0.0, 1.0, 0.0],
+                          (tab45[rows, 5] + tab45[rows, 6]) / 2.0])
+    _assert_matches_oracle(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
 
 
 def test_bench_times_every_kernel():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fwmqkd.errors import DegenerateFieldError, DegenerateInputError, ParameterError
 from fwmqkd.optics import (
@@ -34,6 +36,51 @@ THETAS = (0.0, 0.3, math.pi / 4, 1.2, -0.8)
 def test_wrap_phase(raw, expected):
     assert wrap_phase(raw) == pytest.approx(expected, abs=1e-12)
     assert -math.pi < wrap_phase(raw) <= math.pi
+
+
+def _old_wrap_phase(phi):
+    return -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# Angles next to odd multiples of pi, where the remainder can round up to
+# 2 pi, and zeros of both signs.
+_NEAR_PI = st.builds(lambda k, up: float(np.nextafter(k * math.pi, math.inf if up else -math.inf)),
+                     st.integers(-9, 9).map(lambda k: 2 * k + 1), st.booleans())
+_ANGLES = st.one_of(_NEAR_PI, st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+                    st.floats(-1e6, 1e6))
+
+
+@given(angles=st.lists(_ANGLES, min_size=1, max_size=8))
+def test_wrap_phase_stays_in_range_and_keeps_the_old_bits(angles):
+    phi = np.array(angles)
+    old = _old_wrap_phase(phi)
+    for wrapped in (wrap_phase(phi), np.array([wrap_phase(a) for a in angles])):
+        assert np.all((wrapped > -math.pi) & (wrapped <= math.pi))
+        keep = old > -math.pi
+        assert np.array_equal(_bits(wrapped)[keep], _bits(old)[keep])
+        assert np.all(wrapped[~keep] == math.pi)
+    assert type(wrap_phase(angles[0])) is float
+
+
+def test_wrap_phase_just_above_pi_builds_a_field():
+    above = float(np.nextafter(math.pi, 4.0))
+    assert wrap_phase(above) == math.pi
+    assert SignalField.normalized(1.0, 1.0, above).phi == math.pi
+    assert math.copysign(1.0, wrap_phase(0.0)) == -1.0
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, math.pi / 4, 0.3, -1.234, 2.5e-8])
+def test_qwp_matrix_cache_is_bit_exact_and_read_only(theta):
+    fresh = rotation_matrix(-theta) @ np.diag([1.0 + 0.0j, 1.0j]) @ rotation_matrix(theta)
+    for q in (qwp_matrix(theta), qwp_matrix(np.float64(theta))):
+        assert q.dtype == fresh.dtype
+        assert np.array_equal(q.view(np.uint64), fresh.view(np.uint64))
+        with pytest.raises(ValueError):
+            q[0, 0] = 0.0
 
 
 def test_rotation_matrices_are_orthonormal():

@@ -9,6 +9,7 @@ from fwmqkd.errors import ParameterError
 from fwmqkd.optics import SignalField, detected_intensities
 from fwmqkd.reconstruct import (
     DEFAULT_GRID,
+    MAX_GRID_CELLS,
     THETA_MIX,
     THETA_SPLIT,
     GridSpec,
@@ -54,6 +55,16 @@ class TestGridSpec:
             GridSpec(phi_min=1.0, phi_max=-1.0)
         with pytest.raises(ParameterError):
             GridSpec(xi=0.0)
+
+    def test_cell_count_is_capped_before_any_axis_is_built(self):
+        # 315 phi points, so the cap allows at most 31,746 psi points.
+        rows = MAX_GRID_CELLS // 315
+        GridSpec(psi_step=(math.pi / 2) / (rows - 0.5))
+        for psi_step in ((math.pi / 2) / (rows + 0.5), 1e-12, 5e-324):
+            with pytest.raises(ParameterError, match="cap"):
+                GridSpec(psi_step=psi_step)
+        with pytest.raises(ParameterError, match="positive"):
+            GridSpec(psi_step=float("nan"))
 
 
 def test_measured_ratios_match_direct_intensities():
