@@ -38,8 +38,11 @@ MANIFEST_NAME = "manifest.json"
 RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 
 # Rows formatted per write: large enough that the per-chunk overhead is
-# negligible, small enough that the formatted text of one chunk stays a few MB.
-CSV_CHUNK_ROWS = 1 << 16
+# negligible, small enough that the formatted rows of one chunk (Python lists,
+# tuples and text, about 400 B a row) stay a few MB.  At 2^16 rows that chunk
+# set the peak memory of a long qkd run; 2^14 lowered it by 12 MiB with no
+# loss of speed.
+CSV_CHUNK_ROWS = 1 << 14
 
 
 def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
@@ -350,20 +353,11 @@ def run_qkd(config: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _per_bit_columns(traj, bits):
-    """Per-slot decode history, one row per state change along the budget axis.
-
-    A slot's row appears when its retained photons, pooled contrast, or
-    decoded estimate differs from the previous budget value; the estimate can
-    flip without new photons because the running-mean threshold moves with
-    every slot.  Two NaN contrasts count as the same state.
-    """
-    photons, contrast, estimate = traj.slot_photons, traj.slot_contrast, traj.slot_estimate
-    changed = np.ones(photons.shape, dtype=bool)
-    same_contrast = (contrast[1:] == contrast[:-1]) | (np.isnan(contrast[1:]) & np.isnan(contrast[:-1]))
-    changed[1:] = (photons[1:] != photons[:-1]) | ~same_contrast | (estimate[1:] != estimate[:-1])
-    slot, budget = np.nonzero(changed.T)
-    est = estimate[budget, slot]
-    return [slot, photons[budget, slot], contrast[budget, slot], est, est == bits[slot]]
+    """Per-slot decode history: the trajectory's state-change rows, each
+    marked with whether its estimate matches the slot's bit."""
+    est = traj.change_estimate
+    return [traj.change_slot, traj.change_photons, traj.change_contrast, est,
+            est == bits[traj.change_slot]]
 
 
 def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:

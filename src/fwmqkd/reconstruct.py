@@ -32,6 +32,11 @@ THETA_MIX = math.pi / 4.0
 # Each ratio table at the cap is 80 MB.
 MAX_GRID_CELLS = 10_000_000
 
+# Grid cells evaluated at once when building the ratio tables, rounded down to
+# whole psi rows and never less than one row; it bounds the complex
+# temporaries of intensity_pair to a block instead of the whole grid.
+RATIO_TABLE_BLOCK_CELLS = 1 << 16
+
 
 def _axis_points(span: float, step: float) -> float:
     """Points on an axis of `span` sampled every `step`, inf if that overflows."""
@@ -95,10 +100,20 @@ def _setting_ratios(a_h, a_v, phi, xi: float):
 
 @lru_cache(maxsize=8)
 def _ratio_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute Gamma(psi, phi) at both settings, once per grid."""
+    """Precompute Gamma(psi, phi) at both settings, once per grid.
+
+    The tables are filled a block of psi rows at a time; every step is
+    elementwise, so the blocks give the same bits as one whole-grid call.
+    """
     psi = grid.psi_axis()
     phi = grid.phi_axis()
-    tab0, tab45 = _setting_ratios(np.sin(psi)[:, None], np.cos(psi)[:, None], phi[None, :], grid.xi)
+    tab0 = np.empty((psi.size, phi.size))
+    tab45 = np.empty_like(tab0)
+    rows = max(1, RATIO_TABLE_BLOCK_CELLS // phi.size)
+    for lo in range(0, psi.size, rows):
+        block = psi[lo:lo + rows, None]
+        tab0[lo:lo + rows], tab45[lo:lo + rows] = _setting_ratios(
+            np.sin(block), np.cos(block), phi[None, :], grid.xi)
     return psi, phi, tab0, tab45
 
 

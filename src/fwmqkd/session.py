@@ -41,6 +41,10 @@ SNAPSHOT_BUDGETS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 75, 100, 150, 200, 300, 5
 # never less than one slot.
 BLOCK_PULSES = 1 << 16
 
+# Budget x slot cells built and decoded at once by _build_trajectory, rounded
+# down to whole budget rows and never less than one row.
+TRAJECTORY_CHUNK_CELLS = 1 << 16
+
 
 def encode_message(text: str) -> np.ndarray:
     """Expand ASCII text to its 7-bit big-endian bit stream.
@@ -65,17 +69,10 @@ def decode_to_text(bits) -> str:
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size % BITS_PER_CHAR != 0:
         raise MessageEncodingError("bit stream length is not a multiple of 7")
-    chars = []
-    for k in range(0, bits.size, BITS_PER_CHAR):
-        group = bits[k : k + BITS_PER_CHAR]
-        if np.any(group < 0):
-            chars.append("?")
-            continue
-        code = 0
-        for b in group:
-            code = (code << 1) | int(b)
-        chars.append(chr(code))
-    return "".join(chars)
+    groups = bits.reshape(-1, BITS_PER_CHAR)
+    codes = groups @ (1 << np.arange(BITS_PER_CHAR - 1, -1, -1))
+    codes[(groups < 0).any(axis=1)] = ord("?")
+    return "".join(map(chr, codes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -270,8 +267,12 @@ class Trajectory:
     not, since it is ambiguous which of the two a photons-per-bit axis should
     count.  used_midpoint says, per budget value, whether the decoder used
     the calibrated midpoint rather than the running mean as its threshold.
-    The per-slot matrices have one row per budget value and one column per
-    slot.
+
+    The change_* columns hold one row per slot and budget value at which the
+    slot's retained photons, pooled contrast (NaN before its first photon) or
+    decoded estimate differs from the budget before; every slot has a row at
+    budget 0.  Rows run by slot, then budget.  snapshot_estimate holds the
+    decoded bits at each snapshot_budget, one row per milestone.
     """
 
     budget: np.ndarray
@@ -280,9 +281,13 @@ class Trajectory:
     accuracy: np.ndarray
     undecided: np.ndarray
     used_midpoint: np.ndarray
-    slot_photons: np.ndarray
-    slot_contrast: np.ndarray
-    slot_estimate: np.ndarray
+    change_slot: np.ndarray
+    change_budget: np.ndarray
+    change_photons: np.ndarray
+    change_contrast: np.ndarray
+    change_estimate: np.ndarray
+    snapshot_budget: np.ndarray
+    snapshot_estimate: np.ndarray
 
     def curve_rows(self) -> list[dict]:
         return [
@@ -372,6 +377,7 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     cycles = config.cycles
     total_pulses = n_slots * cycles
     block_slots = max(1, BLOCK_PULSES // cycles)
+    count_dtype = _count_dtype(config)
 
     slot_h = np.zeros(n_slots, dtype=np.int64)
     slot_v = np.zeros(n_slots, dtype=np.int64)
@@ -390,11 +396,19 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
         slot_v[first:last] = np.where(mask, n_v, 0).reshape(-1, cycles).sum(axis=1)
         # Events are the sifted pulses that produced at least one photon; the
         # all-photons count runs over every pulse of the slot, kept or not.
+        # Blocks hold whole slots, so each slot's running counts are taken
+        # within its block.
         totals = n_h + n_v
         c_all = np.cumsum(totals.reshape(-1, cycles), axis=1).ravel()
         ev = mask & (totals > 0)
-        events.append((slot[ev], n_h[ev], n_v[ev], c_all[ev]))
-    ev_slot, ev_h, ev_v, ev_all = (np.concatenate(parts) for parts in zip(*events))
+        ev_slot = slot[ev]
+        first_event = np.searchsorted(ev_slot, ev_slot)
+        events.append((ev_slot.astype(np.int32),
+                       _slot_cumsum(n_h[ev], first_event).astype(count_dtype),
+                       _slot_cumsum(n_v[ev], first_event).astype(count_dtype),
+                       c_all[ev].astype(count_dtype)))
+    ev_slot, ev_ch, ev_cv, ev_all = (np.concatenate(parts) for parts in zip(*events))
+    del events
 
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
@@ -402,7 +416,7 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     decoded = decode_bits(slot_contrast, channel, config.threshold_mode)
     accuracy = float(np.mean(decoded == bits))
 
-    trajectory = _build_trajectory(ev_slot, ev_h, ev_v, ev_all, n_slots, bits,
+    trajectory = _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits,
                                    channel, config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
@@ -435,53 +449,141 @@ def _slot_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return run - (run - values)[first]
 
 
-def _build_trajectory(ev_slot, ev_h, ev_v, ev_all, n_slots, bits, channel,
-                      threshold_mode) -> Trajectory:
-    """Forward-fill per-slot cumulative counts over a photon budget axis.
+def _count_dtype(config: SessionConfig) -> np.dtype:
+    """Integer type of a session's per-slot photon counts.
 
-    The event arrays hold, in pulse order, the slot, the two port counts and
-    the slot's all-photon running count of every sifted pulse that produced
-    a photon.  Each event is scattered at the budget row equal to its slot's
-    retained running total; a running maximum down the budget axis then
-    carries the latest event within budget to every row below the next one.
+    Each port is clamped at max_photons per pulse, so no running count of a
+    slot can exceed 2 * max_photons * cycles.
     """
-    first = np.searchsorted(ev_slot, ev_slot)
-    ch = _slot_cumsum(ev_h, first)
-    cv = _slot_cumsum(ev_v, first)
-    ct = ch + cv
-    r_max = int(ct.max()) if ct.size else 0
-    budgets = np.arange(r_max + 1)
-    idx = np.full((r_max + 1, n_slots), -1, dtype=np.int64)
-    idx[ct, ev_slot] = np.arange(ct.size)
-    np.maximum.accumulate(idx, axis=0, out=idx)
+    bound = 2 * config.attenuation.max_photons * config.cycles
+    return np.dtype(np.int32 if bound < 2**31 else np.int64)
 
-    # A trailing zero makes index -1 (no event yet) read as zero counts.
-    def fill(cum):
-        return np.append(cum, 0).astype(np.float64)[idx]
 
-    h_mat = fill(ch)
-    v_mat = fill(cv)
-    a_mat = fill(ev_all)
-    t_mat = h_mat + v_mat
-    with np.errstate(invalid="ignore"):
-        p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-    decoded, used_midpoint = decode_matrix(p_mat, channel, threshold_mode)
-    correct = decoded == bits[None, :]
-    accuracy = correct.mean(axis=1)
-    undecided = (decoded < 0).sum(axis=1)
-    return Trajectory(budgets, t_mat.mean(axis=1), a_mat.mean(axis=1), accuracy,
-                      undecided, used_midpoint, t_mat.astype(np.int64), p_mat, decoded)
+def _filled(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Float matrix holding values where seen is set and zero elsewhere."""
+    out = np.zeros(seen.shape)
+    out[seen] = values
+    return out
+
+
+def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
+                      threshold_mode) -> Trajectory:
+    """Decode along the photon budget axis, a chunk of budget rows at a time.
+
+    The event arrays hold, in pulse order and so grouped by slot, the slot,
+    the slot's retained H and V running totals and its all-photon running
+    count at every sifted pulse that produced a photon.  Row r of the
+    budget x slot state points each slot at its last event with retained
+    total ct <= r.  A chunk starts from the previous chunk's last row,
+    scatters the events whose ct falls inside it at row ct and carries them
+    down with a running maximum; this is exact because ct strictly
+    increases within a slot.  Rows decode independently, so decoding chunk
+    by chunk gives the same bits as decoding the whole matrix.
+
+    Only the per-budget curves, the snapshot rows and the state-change rows
+    are kept.  A slot's photons and contrast change exactly at its events,
+    so the change rows are the event rows plus the estimate flips that come
+    without a photon (among them every slot's row at budget 0); each flip is
+    inserted among the events at its place in (slot, budget) order.
+    """
+    ct = ev_ch + ev_cv
+    n_rows = (int(ct.max()) if ct.size else 0) + 1
+    budgets = np.arange(n_rows)
+    rows_per_chunk = max(1, TRAJECTORY_CHUNK_CELLS // n_slots)
+    # Events grouped by chunk, and where each chunk's events start.
+    chunk_of = ct // rows_per_chunk
+    order = np.argsort(chunk_of, kind="stable")
+    n_chunks = -(-n_rows // rows_per_chunk)
+    chunk_start = np.concatenate(([0], np.cumsum(np.bincount(chunk_of, minlength=n_chunks))))
+    del chunk_of
+    slot_start = np.searchsorted(ev_slot, np.arange(n_slots))
+    marks = np.array(sorted({b for b in SNAPSHOT_BUDGETS if b < n_rows} | {n_rows - 1}))
+
+    retained = np.empty(n_rows)
+    all_photons = np.empty(n_rows)
+    accuracy = np.empty(n_rows)
+    undecided = np.empty(n_rows, dtype=np.int64)
+    used_midpoint = np.empty(n_rows, dtype=bool)
+    snapshot_estimate = np.empty((marks.size, n_slots), dtype=np.int8)
+    ev_contrast = np.empty(ct.size)
+    ev_estimate = np.empty(ct.size, dtype=np.int8)
+    flips = []
+    last_idx = np.full(n_slots, -1, dtype=np.intp)
+    # No estimate equals -2, so every slot's budget-0 row counts as a change.
+    last_est = np.full(n_slots, -2, dtype=np.int64)
+
+    for k in range(n_chunks):
+        lo, hi = k * rows_per_chunk, min((k + 1) * rows_per_chunk, n_rows)
+        ev = order[chunk_start[k]:chunk_start[k + 1]]
+        # Flat index of each event's cell in the chunk.
+        cell = (ct[ev] - lo) * n_slots + ev_slot[ev]
+        idx = np.full((hi - lo, n_slots), -1, dtype=np.intp)
+        idx[0] = last_idx
+        np.put(idx, cell, ev)
+        np.maximum.accumulate(idx, axis=0, out=idx)
+        seen = idx >= 0
+        hit = idx[seen]
+        h_mat = _filled(ev_ch[hit], seen)
+        v_mat = _filled(ev_cv[hit], seen)
+        t_mat = h_mat + v_mat
+        with np.errstate(invalid="ignore"):
+            p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
+        decoded, used_midpoint[lo:hi] = decode_matrix(p_mat, channel, threshold_mode)
+
+        retained[lo:hi] = t_mat.mean(axis=1)
+        all_photons[lo:hi] = _filled(ev_all[hit], seen).mean(axis=1)
+        accuracy[lo:hi] = (decoded == bits[None, :]).mean(axis=1)
+        undecided[lo:hi] = (decoded < 0).sum(axis=1)
+        in_chunk = (marks >= lo) & (marks < hi)
+        snapshot_estimate[in_chunk] = decoded[marks[in_chunk] - lo]
+
+        ev_contrast[ev] = np.take(p_mat, cell)
+        ev_estimate[ev] = np.take(decoded, cell)
+        flip = np.empty(decoded.shape, dtype=bool)
+        np.not_equal(decoded[0], last_est, out=flip[0])
+        np.not_equal(decoded[1:], decoded[:-1], out=flip[1:])
+        np.put(flip, cell, False)
+        row, col = np.nonzero(flip)
+        # Events of the slot up to this row come before the flip.
+        before = np.maximum(idx[row, col] + 1, slot_start[col])
+        flips.append((col, row + lo, t_mat[row, col], p_mat[row, col], decoded[row, col], before))
+        last_idx, last_est = idx[-1], decoded[-1]
+    del order
+
+    f_slot, f_budget, f_photons, f_contrast, f_estimate, f_before = (
+        np.concatenate(parts) for parts in zip(*flips))
+    by_slot = np.lexsort((f_budget, f_slot))
+    # In (slot, budget) order the flips' event counts never decrease, so the
+    # k-th flip lands k places after its events.
+    at = f_before[by_slot] + np.arange(by_slot.size)
+    from_event = np.ones(ct.size + at.size, dtype=bool)
+    from_event[at] = False
+
+    def merged(ev_values, flip_values):
+        out = np.empty(from_event.size, dtype=ev_values.dtype)
+        out[from_event] = ev_values
+        out[at] = flip_values[by_slot]
+        return out
+
+    return Trajectory(
+        budgets, retained, all_photons, accuracy, undecided, used_midpoint,
+        change_slot=merged(ev_slot.astype(np.int32, copy=False), f_slot),
+        change_budget=merged(ct, f_budget),
+        change_photons=merged(ct, f_photons),
+        change_contrast=merged(ev_contrast, f_contrast),
+        change_estimate=merged(ev_estimate, f_estimate),
+        snapshot_budget=marks,
+        snapshot_estimate=snapshot_estimate,
+    )
 
 
 def _snapshots(traj: Trajectory) -> list[tuple[int, float, str]]:
     """Decoded text at milestone budgets, always including the final state."""
-    if traj.budget.size == 0:
-        return []
-    last = int(traj.budget[-1])
-    marks = sorted({b for b in SNAPSHOT_BUDGETS if b <= last} | {last})
+    n_chars = traj.snapshot_estimate.shape[1] // BITS_PER_CHAR
+    text = decode_to_text(traj.snapshot_estimate.ravel())
     return [
-        (b, float(traj.retained_mean[b]), decode_to_text(traj.slot_estimate[b]))
-        for b in marks
+        (b, float(traj.retained_mean[b]), text[k * n_chars:(k + 1) * n_chars])
+        for k, b in enumerate(traj.snapshot_budget.tolist())
     ]
 
 

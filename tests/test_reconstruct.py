@@ -7,6 +7,7 @@ import pytest
 
 from fwmqkd.errors import ParameterError
 from fwmqkd.optics import SignalField, detected_intensities
+from fwmqkd import reconstruct
 from fwmqkd.reconstruct import (
     DEFAULT_GRID,
     MAX_GRID_CELLS,
@@ -65,6 +66,22 @@ class TestGridSpec:
                 GridSpec(psi_step=psi_step)
         with pytest.raises(ParameterError, match="positive"):
             GridSpec(psi_step=float("nan"))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(psi_step=0.07, phi_step=0.3, xi=1e-6)],
+                         ids=["default", "coarse"])
+@pytest.mark.parametrize("rows", [1, 3, 10**9], ids=["one-row", "three-rows", "all-rows"])
+def test_ratio_tables_built_in_blocks_equal_the_whole_grid(monkeypatch, grid, rows):
+    psi, phi = grid.psi_axis(), grid.phi_axis()
+    whole = reconstruct._setting_ratios(np.sin(psi)[:, None], np.cos(psi)[:, None],
+                                        phi[None, :], grid.xi)
+    monkeypatch.setattr(reconstruct, "RATIO_TABLE_BLOCK_CELLS", rows * phi.size)
+    got_psi, got_phi, tab0, tab45 = reconstruct._ratio_tables.__wrapped__(grid)
+    np.testing.assert_array_equal(got_psi, psi)
+    np.testing.assert_array_equal(got_phi, phi)
+    for got, want in zip((tab0, tab45), whole):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_measured_ratios_match_direct_intensities():

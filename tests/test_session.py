@@ -66,6 +66,31 @@ class TestMessageFraming:
         with pytest.raises(MessageEncodingError):
             decode_to_text(np.ones(10, dtype=np.int64))
 
+    def test_matches_the_per_character_loop(self):
+        rng = np.random.default_rng(8)
+        for n_chars in (0, 1, 3, 17, 256):
+            for p_undecided in (0.0, 0.02, 0.5):
+                bits = rng.integers(0, 2, BITS_PER_CHAR * n_chars)
+                bits[rng.uniform(size=bits.size) < p_undecided] = -1
+                assert decode_to_text(bits) == _reference_decode_to_text(bits)
+                assert decode_to_text(bits.tolist()) == _reference_decode_to_text(bits)
+
+
+def _reference_decode_to_text(bits) -> str:
+    """The per-character loop decode_to_text replaced, kept as its oracle."""
+    bits = np.asarray(bits, dtype=np.int64)
+    chars = []
+    for k in range(0, bits.size, BITS_PER_CHAR):
+        group = bits[k : k + BITS_PER_CHAR]
+        if np.any(group < 0):
+            chars.append("?")
+            continue
+        code = 0
+        for b in group:
+            code = (code << 1) | int(b)
+        chars.append(chr(code))
+    return "".join(chars)
+
 
 class TestSessionConfig:
     def test_validation(self):
@@ -299,9 +324,11 @@ class TestRunSession:
         # the threshold mode never changes a drawn photon, so a budget that
         # fell back decodes exactly as fixed mode does at that budget
         used = running.trajectory.used_midpoint
-        np.testing.assert_array_equal(running.trajectory.slot_contrast, fixed.trajectory.slot_contrast)
-        np.testing.assert_array_equal(running.trajectory.slot_estimate[used],
-                                      fixed.trajectory.slot_estimate[used])
+        n_slots = running.bits.size
+        _, running_contrast, running_estimate = _dense_history(running.trajectory, n_slots)
+        _, fixed_contrast, fixed_estimate = _dense_history(fixed.trajectory, n_slots)
+        np.testing.assert_array_equal(running_contrast, fixed_contrast)
+        np.testing.assert_array_equal(running_estimate[used], fixed_estimate[used])
 
     def test_empty_message_is_rejected(self):
         with pytest.raises(ParameterError):
@@ -330,7 +357,11 @@ class TestRunSession:
 
 
 def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, threshold_mode):
-    """The dense per-slot masking forward-fill, kept as the test oracle."""
+    """The dense per-slot masking forward-fill, kept as the test oracle.
+
+    Returns the per-budget curves and the dense budget x slot photons,
+    contrast and estimate matrices.
+    """
     totals = n_h + n_v
     events = mask & (totals > 0)
 
@@ -360,38 +391,90 @@ def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, thresho
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
     decoded, used_midpoint = session.decode_matrix(p_mat, channel, threshold_mode)
     correct = decoded == bits[None, :]
-    return session.Trajectory(budgets, t_mat.mean(axis=1), a_mat.mean(axis=1),
-                              correct.mean(axis=1), (decoded < 0).sum(axis=1), used_midpoint,
-                              t_mat.astype(np.int64), p_mat, decoded)
+    return (budgets, t_mat.mean(axis=1), a_mat.mean(axis=1), correct.mean(axis=1),
+            (decoded < 0).sum(axis=1), used_midpoint, t_mat.astype(np.int64), p_mat, decoded)
+
+
+def _expected_trajectory(reference):
+    """The trajectory the streamed builder must return for a dense reference.
+
+    A slot gets a change row where its photons, contrast or estimate differs
+    from the budget before, two NaN contrasts counting as equal, and at
+    budget 0; rows run by slot, then budget.
+    """
+    *curves, photons, contrast, estimate = reference
+    changed = np.ones(photons.shape, dtype=bool)
+    same_contrast = (contrast[1:] == contrast[:-1]) | (np.isnan(contrast[1:]) & np.isnan(contrast[:-1]))
+    changed[1:] = (photons[1:] != photons[:-1]) | ~same_contrast | (estimate[1:] != estimate[:-1])
+    slot, budget = np.nonzero(changed.T)
+    r_max = int(curves[0][-1])
+    marks = np.array(sorted({b for b in session.SNAPSHOT_BUDGETS if b <= r_max} | {r_max}))
+    return session.Trajectory(
+        *curves,
+        change_slot=slot.astype(np.int32),
+        change_budget=budget.astype(np.int32),
+        change_photons=photons[budget, slot].astype(np.int32),
+        change_contrast=contrast[budget, slot],
+        change_estimate=estimate[budget, slot].astype(np.int8),
+        snapshot_budget=marks,
+        snapshot_estimate=estimate[marks].astype(np.int8),
+    )
+
+
+def _dense_history(traj, n_slots):
+    """Expand the change rows back into budget x slot photons, contrast and
+    estimate; every slot has a row at budget 0, so every cell is covered."""
+    idx = np.full((traj.budget.size, n_slots), -1)
+    idx[traj.change_budget, traj.change_slot] = np.arange(traj.change_slot.size)
+    np.maximum.accumulate(idx, axis=0, out=idx)
+    return traj.change_photons[idx], traj.change_contrast[idx], traj.change_estimate[idx]
 
 
 def _events(n_h, n_v, mask, cycles):
-    """Event arrays of a pulse train, slot by slot."""
+    """Event arrays of a pulse train, slot by slot: slot and the slot's
+    retained H, V and all-photon running counts at each event."""
     parts = []
     for s in range(n_h.size // cycles):
         sl = slice(s * cycles, (s + 1) * cycles)
         h, v, m = n_h[sl], n_v[sl], mask[sl]
+        ch, cv = np.cumsum(np.where(m, h, 0)), np.cumsum(np.where(m, v, 0))
         c_all = np.cumsum(h + v)
         for k in np.flatnonzero(m & (h + v > 0)):
-            parts.append((s, h[k], v[k], c_all[k]))
-    return tuple(np.array([p[i] for p in parts], dtype=np.int64) for i in range(4))
+            parts.append((s, ch[k], cv[k], c_all[k]))
+    return tuple(np.array([p[i] for p in parts], dtype=np.int32).reshape(-1) for i in range(4))
 
 
-def _assert_same_trajectory(a, b):
+def _assert_same_trajectory(a, b, context=""):
     for name in session.Trajectory.__dataclass_fields__:
         x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        np.testing.assert_array_equal(x, y, err_msg=name)
+        assert x.dtype == y.dtype and x.shape == y.shape, f"{context}{name}"
+        np.testing.assert_array_equal(x, y, err_msg=f"{context}{name}")
+
+
+# Chunk sizes of the streamed trajectory, in cells for n_slots slots: one
+# budget row per chunk, one row given exactly, three rows, and all rows.
+CHUNK_CELLS = {
+    "one-cell": lambda n_slots: 1,
+    "one-row": lambda n_slots: n_slots,
+    "three-rows": lambda n_slots: 3 * n_slots,
+    "all-rows": lambda n_slots: 1 << 30,
+}
 
 
 def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
+    """Compare the streamed builder, at every chunk size, with the oracle."""
     n_h, n_v = np.asarray(n_h, dtype=np.int64), np.asarray(n_v, dtype=np.int64)
     mask, bits = np.asarray(mask, dtype=bool), np.asarray(bits, dtype=np.int64)
     channel = _channel()
     slots = np.arange(n_h.size) // cycles
-    expected = _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits, channel, mode)
-    got = _build_trajectory(*_events(n_h, n_v, mask, cycles), bits.size, bits, channel, mode)
-    _assert_same_trajectory(got, expected)
+    expected = _expected_trajectory(
+        _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits, channel, mode))
+    events = _events(n_h, n_v, mask, cycles)
+    for name, chunk in CHUNK_CELLS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
+            got = _build_trajectory(*events, bits.size, bits, channel, mode)
+        _assert_same_trajectory(got, expected, context=f"chunk size {name}: ")
 
 
 @st.composite
@@ -434,7 +517,22 @@ class TestTrajectoryReference:
                                  _channel(), "running-mean")
         assert traj.budget.size == 4 and traj.used_midpoint.all()
         assert {row["threshold"] for row in traj.curve_rows()} == {"midpoint"}
-        np.testing.assert_array_equal(traj.slot_estimate[-1], [1, 1, 1, 1])
+        assert traj.snapshot_budget[-1] == 3
+        np.testing.assert_array_equal(traj.snapshot_estimate[-1], [1, 1, 1, 1])
+
+    def test_change_rows_expand_back_to_the_dense_history(self):
+        cfg = SessionConfig(message="dense", cycles=80, seed=5)
+        channel = ChannelModel.from_config(cfg)
+        bits = encode_message(cfg.message)
+        total = bits.size * cfg.cycles
+        n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
+        slots = np.arange(total) // cfg.cycles
+        mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
+        *_, photons, contrast, estimate = _reference_trajectory(
+            slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode)
+        got = _dense_history(run_session(cfg, channel).trajectory, bits.size)
+        for x, y in zip(got, (photons, contrast, estimate)):
+            np.testing.assert_array_equal(x, y)
 
     def test_session_longer_than_one_block(self, monkeypatch):
         monkeypatch.setattr(session, "BLOCK_PULSES", 200)
@@ -446,9 +544,69 @@ class TestTrajectoryReference:
         n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
         slots = np.arange(total) // cfg.cycles
         mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
-        expected = _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits,
-                                         channel, cfg.threshold_mode)
-        _assert_same_trajectory(run_session(cfg, channel).trajectory, expected)
+        expected = _expected_trajectory(_reference_trajectory(
+            slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode))
+        for name, chunk in CHUNK_CELLS.items():
+            monkeypatch.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
+            traj = run_session(cfg, channel).trajectory
+            _assert_same_trajectory(traj, expected, context=f"chunk size {name}: ")
+        assert traj.change_slot.dtype == np.int32
+        assert traj.change_photons.dtype == traj.change_budget.dtype == np.int32
+        assert traj.change_estimate.dtype == traj.snapshot_estimate.dtype == np.int8
+
+
+class TestTrajectoryStorage:
+    def test_count_dtype_widens_when_a_slot_count_can_pass_int32(self):
+        def dtype(cycles, max_photons=AttenuationConfig().max_photons):
+            return session._count_dtype(SessionConfig(
+                cycles=cycles, attenuation=AttenuationConfig(max_photons=max_photons)))
+
+        assert dtype(1200) == np.int32
+        # 2 * max_photons * cycles against 2**31
+        assert dtype(2**30 - 1, max_photons=1) == np.int32
+        assert dtype(2**30, max_photons=1) == np.int64
+        assert dtype(1, max_photons=2**30) == np.int64
+
+    def test_wide_counts_keep_their_dtype(self):
+        n_h = np.array([1, 0, 2, 1], dtype=np.int64)
+        n_v = np.array([0, 1, 1, 0], dtype=np.int64)
+        bits = np.array([1, 0], dtype=np.int64)
+        ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
+        wide = (ev[0],) + tuple(a.astype(np.int64) for a in ev[1:])
+        narrow = _build_trajectory(*ev, 2, bits, _channel(), "running-mean")
+        traj = _build_trajectory(*wide, 2, bits, _channel(), "running-mean")
+        assert traj.change_photons.dtype == traj.change_budget.dtype == np.int64
+        for name in session.Trajectory.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(traj, name), getattr(narrow, name))
+
+    def test_memory_is_bounded_by_the_chunk_not_the_budget_axis(self):
+        # 3,000 slots and several thousand budget rows: one dense float64
+        # budget x slot matrix is over 72 MB, and the dense builder peaked
+        # near 1 GB here.  The streamed build stays near 7 MiB.
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        n_slots, per_slot = 3000, 12
+        counts = rng.integers(1, 500, size=(n_slots, per_slot))
+        share = rng.uniform(size=(n_slots, per_slot))
+        ch = np.cumsum(np.floor(counts * share).astype(np.int32), axis=1)
+        ct = np.cumsum(counts, axis=1).astype(np.int32)
+        ev_slot = np.repeat(np.arange(n_slots, dtype=np.int32), per_slot)
+        ev_ch = ch.ravel()
+        ev_cv = (ct - ch).ravel()
+        ev_all = (2 * ct).ravel()
+        bits = rng.integers(0, 2, n_slots)
+        channel = _channel()
+        assert 2_500 < ct.max() < 6_000
+        tracemalloc.start()
+        try:
+            traj = _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits,
+                                     channel, "running-mean")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.budget.size == ct.max() + 1
+        assert peak < 24 * 2**20
 
 
 class TestBlockInvariance:
@@ -458,9 +616,12 @@ class TestBlockInvariance:
                             lambda_nm=lambda_nm, decode_theta=theta)
         reference = run_session(cfg)
         total = reference.total_pulses
+        n_slots = reference.bits.size
         # below one slot (rounds up to one), one slot, three slots, whole message
         for block in (1, cfg.cycles, 3 * cfg.cycles, 10 * total):
             monkeypatch.setattr(session, "BLOCK_PULSES", block)
-            report = run_session(cfg)
-            assert report.to_dict() == reference.to_dict()
-            _assert_same_trajectory(report.trajectory, reference.trajectory)
+            for chunk in CHUNK_CELLS.values():
+                monkeypatch.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(n_slots))
+                report = run_session(cfg)
+                assert report.to_dict() == reference.to_dict()
+                _assert_same_trajectory(report.trajectory, reference.trajectory)
