@@ -150,31 +150,6 @@ def _range_bound(lo, hi, g):
     return np.where(g < lo, (lo - g) ** 2, np.where(g > hi, (hi - g) ** 2, 0.0))
 
 
-def _bracket_bound(tab45, g45):
-    """Lower bound of the computed (t - g45) ** 2 over each non-decreasing row.
-
-    A branchless bisection over all (pair, row) cells at once finds, per
-    cell, the first entry >= g45.  It and the entry before it bracket g45,
-    and every other entry of the row lies beyond one of them.  Meaningless
-    for rows out of order.
-    """
-    n_rows, n_cols = tab45.shape
-    flat = tab45.ravel()
-    g = g45[:, None]
-    start = np.arange(n_rows) * n_cols
-    pos = np.repeat(start[None, :], g45.size, axis=0)
-    n = n_cols
-    while n > 1:
-        half = n // 2
-        pos += half * (flat[pos + half] < g)
-        n -= half
-    pos += flat[pos] < g
-    k = pos - start
-    lower = np.where(k > 0, (flat[np.maximum(pos - 1, 0)] - g) ** 2, np.inf)
-    upper = np.where(k < n_cols, (flat[np.minimum(pos, flat.size - 1)] - g) ** 2, np.inf)
-    return np.minimum(lower, upper)
-
-
 def _squared_errors(tab0, tab45, rows, g0, g45):
     """The brute-force SE on table row rows[j] against pair j, one row each."""
     return (tab0[rows] - g0[:, None]) ** 2 + (tab45[rows] - g45[:, None]) ** 2
@@ -183,9 +158,8 @@ def _squared_errors(tab0, tab45, rows, g0, g45):
 def _search_block(tab0, tab45, row_stats, g0, g45, tie_eps):
     """se_argmin's four result arrays for one block of pairs."""
     n_rows = tab0.shape[0]
-    lo0, hi0, lo45, hi45, sorted45 = row_stats
-    bound45 = np.where(sorted45, _bracket_bound(tab45, g45), _range_bound(lo45, hi45, g45[:, None]))
-    bound = _range_bound(lo0, hi0, g0[:, None]) + bound45
+    lo0, hi0, lo45, hi45 = row_stats
+    bound = _range_bound(lo0, hi0, g0[:, None]) + _range_bound(lo45, hi45, g45[:, None])
     best = np.argmin(bound, axis=1)
     ub = _squared_errors(tab0, tab45, best, g0, g45).min(axis=1)
     # Row-major order, so each pair's candidate rows are contiguous and the
@@ -220,34 +194,30 @@ def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0, g45, tie_eps: float):
     The result is the brute force's: SE = (tab0 - g0)**2 + (tab45 - g45)**2
     over the whole table, its row-major first minimum (ties resolve to the
     lowest psi index, then the lowest phi index), and n_ties, the count of
-    grid points with SE <= SE_min + tie_eps.  Returns (i_psi, i_phi, se_min,
-    n_ties): int, int, float, int for scalar g0 and g45, else int64, int64,
-    float64 and int64 arrays of their broadcast shape.  Tables and ratios
-    are finite.
+    grid points with SE <= SE_min + tie_eps.  g0 and g45 are 1-D arrays of
+    equal length; returns (i_psi, i_phi, se_min, n_ties) as int64, int64,
+    float64 and int64 arrays of that length.  Tables and ratios are finite.
 
     Pairs are searched in blocks of ARGMIN_BLOCK_PAIRS, at most one per table
     column, so a block's (pairs, rows) arrays never outgrow the tables.  Per
-    pair, every row gets a lower bound on its SE: the tab0 term from the
-    row's range, the tab45 term from the entries bracketing g45 in a
-    non-decreasing row or from the range of any other row.  The exact SE of
-    the row with the least bound gives an upper bound ub on the minimum, and
-    only rows whose bound is at most ub + tie_eps are evaluated in full.
+    pair, every row gets a lower bound on its SE from the row's tab0 and
+    tab45 ranges.  The exact SE of the row with the least bound gives an
+    upper bound ub on the minimum, and only rows whose bound is at most
+    ub + tie_eps are evaluated in full.
 
     The bound needs no slack.  Round-to-nearest subtraction is monotone in
     each operand, squaring is monotone in the magnitude and addition is
-    monotone in each term, so the same expression evaluated on the
-    bracketing table values is <= the computed SE of every cell in the row.
-    A pruned row has bound > ub + tie_eps >= SE_min + tie_eps, so it holds
-    neither the minimum nor a tie, and index, SE and n_ties are exact.
+    monotone in each term, so the same expression evaluated on the row's
+    range ends (every cell lies between them) is <= the computed SE of every
+    cell in the row.  A pruned row has bound > ub + tie_eps >= SE_min +
+    tie_eps, so it holds neither the minimum nor a tie, and index, SE and
+    n_ties are exact.
     """
     tab0 = np.asarray(tab0, dtype=np.float64)
     tab45 = np.asarray(tab45, dtype=np.float64)
-    g0, g45 = np.broadcast_arrays(np.asarray(g0, dtype=np.float64),
-                                  np.asarray(g45, dtype=np.float64))
-    shape = g0.shape
-    g0, g45 = g0.ravel(), g45.ravel()
-    row_stats = (tab0.min(axis=1), tab0.max(axis=1), tab45.min(axis=1), tab45.max(axis=1),
-                 np.all(np.diff(tab45, axis=1) >= 0, axis=1))
+    g0 = np.asarray(g0, dtype=np.float64)
+    g45 = np.asarray(g45, dtype=np.float64)
+    row_stats = (tab0.min(axis=1), tab0.max(axis=1), tab45.min(axis=1), tab45.max(axis=1))
     out = (np.empty(g0.size, dtype=np.int64), np.empty(g0.size, dtype=np.int64),
            np.empty(g0.size), np.empty(g0.size, dtype=np.int64))
     block = max(1, min(ARGMIN_BLOCK_PAIRS, tab0.shape[1]))
@@ -255,7 +225,4 @@ def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0, g45, tie_eps: float):
         b = slice(a, a + block)
         for arr, part in zip(out, _search_block(tab0, tab45, row_stats, g0[b], g45[b], tie_eps)):
             arr[b] = part
-    if not shape:
-        i_psi, i_phi, se_min, n_ties = (arr[0] for arr in out)
-        return int(i_psi), int(i_phi), float(se_min), int(n_ties)
-    return tuple(arr.reshape(shape) for arr in out)
+    return out

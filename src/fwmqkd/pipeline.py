@@ -39,10 +39,10 @@ RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 
 # Rows formatted per write: large enough that the per-chunk overhead is
 # negligible, small enough that the formatted rows of one chunk (Python lists,
-# tuples and text, about 400 B a row) stay a few MB.  At 2^16 rows that chunk
-# set the peak memory of a long qkd run; 2^14 lowered it by 12 MiB with no
-# loss of speed.
-CSV_CHUNK_ROWS = 1 << 14
+# tuples and text, about 400 B a row) stay near 1.6 MB.  Larger chunks, and
+# bool columns turned to text whole, made the peak memory of a long qkd run
+# swing by several MiB from run to run; 2^12 rows cost no speed.
+CSV_CHUNK_ROWS = 1 << 12
 
 
 def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
@@ -64,17 +64,12 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
     Each column is converted to an array once and gets one printf code:
     floats print as their shortest round-trip repr, integers and strings via
-    str, and bools as true/false.  A float and an integer column therefore
-    differ ("0.0" against "0"), so callers keep each column's own type.
+    str, and bools as true/false, mapped one chunk at a time.  A float and
+    an integer column therefore differ ("0.0" against "0"), so callers keep
+    each column's own type.
     """
-    arrays = []
-    codes = []
-    for column in columns:
-        a = np.asarray(column)
-        if a.dtype.kind == "b":
-            a = np.where(a, "true", "false")
-        arrays.append(a)
-        codes.append("%r" if a.dtype.kind == "f" else "%s")
+    arrays = [np.asarray(column) for column in columns]
+    codes = ["%r" if a.dtype.kind == "f" else "%s" for a in arrays]
     template = ",".join(codes) + "\n"
     n_rows = len(arrays[0]) if arrays else 0
     if any(len(a) != n_rows for a in arrays):
@@ -82,7 +77,9 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [a[lo:lo + CSV_CHUNK_ROWS].tolist() for a in arrays]
+            chunk = [a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]
+            chunk = [(np.where(c, "true", "false") if c.dtype.kind == "b" else c).tolist()
+                     for c in chunk]
             f.write("".join(map(template.__mod__, zip(*chunk))))
 
 

@@ -171,48 +171,19 @@ def sift_mask(alice_bits, basis_bits, designated_bits, decode_basis: int) -> np.
     return (alice == designated) & (basis == decode_basis)
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    alice_bit: int
-    basis_bit: int
-    n_h: int
-    n_v: int
-    clamped: bool
-
-
-def _draw_batch(config: SessionConfig, channel: ChannelModel, start: int, count: int,
-                alice_force: int | None = None, basis_force: int | None = None):
+def _draw_batch(config: SessionConfig, channel: ChannelModel, start: int, count: int):
     """Counts and settings for pulses [start, start + count).
 
     The per-pulse uniforms, Alice's bit and Bob's basis all come from the
     same generator block, so the result depends only on the absolute pulse
-    index.  Forcing a bit or basis replaces the random choice but leaves the
-    photon uniforms untouched.
+    index.
     """
     u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
-    if alice_force is not None:
-        alice = np.full(count, alice_force, dtype=alice.dtype)
-    if basis_force is not None:
-        basis = np.full(count, basis_force, dtype=basis.dtype)
     _, n_h, n_v, clamped = counts_from_uniforms(
         u_gain, u_h, u_v, channel.itable[alice, basis, 0], channel.itable[alice, basis, 1],
         config.attenuation,
     )
     return n_h, n_v, alice.astype(np.int64), basis.astype(np.int64), clamped
-
-
-def run_pulse(config: SessionConfig, channel: ChannelModel, index: int,
-              alice_bit: int | None = None, basis_bit: int | None = None) -> PulseRecord:
-    """Simulate the single pulse at an absolute index.
-
-    By default the delay and basis come from the pulse's own random bits;
-    passing alice_bit or basis_bit pins the setting, which is how calibration
-    runs hold one configuration fixed while keeping the photon randomness.
-    """
-    n_h, n_v, alice, basis, clamped = _draw_batch(
-        config, channel, index, 1, alice_force=alice_bit, basis_force=basis_bit
-    )
-    return PulseRecord(int(alice[0]), int(basis[0]), int(n_h[0]), int(n_v[0]), bool(clamped[0]))
 
 
 def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
@@ -248,12 +219,6 @@ def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
     bits = np.where(score > 0, 1, np.where(score < 0, 0, -1)).astype(np.int64)
     bits[~decided] = -1
     return bits, midpoint
-
-
-def decode_bits(p_cum, channel: ChannelModel, threshold_mode: str = "running-mean") -> np.ndarray:
-    """Decode one vector of slot contrasts."""
-    bits, _ = decode_matrix(np.asarray(p_cum, dtype=np.float64)[None, :], channel, threshold_mode)
-    return bits[0]
 
 
 @dataclass(frozen=True)
@@ -413,20 +378,20 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
-    decoded = decode_bits(slot_contrast, channel, config.threshold_mode)
-    accuracy = float(np.mean(decoded == bits))
 
     trajectory = _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits,
                                    channel, config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
 
+    # The last budget row is the last snapshot mark and holds every slot's
+    # full tally, so it is the decode of slot_contrast.
     return SessionReport(
         message=config.message,
-        decoded_message=decode_to_text(decoded),
+        decoded_message=snapshots[-1][2],
         bits=bits,
-        decoded_bits=decoded,
-        accuracy=accuracy,
+        decoded_bits=trajectory.snapshot_estimate[-1].astype(np.int64),
+        accuracy=float(trajectory.accuracy[-1]),
         sift_retention=kept / total_pulses,
         total_pulses=total_pulses,
         clamped_pulses=clamped_kept,
@@ -552,18 +517,12 @@ def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
 
     f_slot, f_budget, f_photons, f_contrast, f_estimate, f_before = (
         np.concatenate(parts) for parts in zip(*flips))
+    # Each flip goes in before event f_before, the slot's first past its row;
+    # np.insert keeps flips at one position in their (slot, budget) order.
     by_slot = np.lexsort((f_budget, f_slot))
-    # In (slot, budget) order the flips' event counts never decrease, so the
-    # k-th flip lands k places after its events.
-    at = f_before[by_slot] + np.arange(by_slot.size)
-    from_event = np.ones(ct.size + at.size, dtype=bool)
-    from_event[at] = False
 
     def merged(ev_values, flip_values):
-        out = np.empty(from_event.size, dtype=ev_values.dtype)
-        out[from_event] = ev_values
-        out[at] = flip_values[by_slot]
-        return out
+        return np.insert(ev_values, f_before[by_slot], flip_values[by_slot])
 
     return Trajectory(
         budgets, retained, all_photons, accuracy, undecided, used_midpoint,

@@ -155,13 +155,13 @@ def test_se_argmin_prefers_first_row_major_minimum():
     zeros = np.zeros((2, 2))
     # se = [[1, 0], [0, 1]]: two exact ties, first in row-major order is (0, 1)
     tab0 = np.array([[2.0, 1.0], [1.0, 2.0]])
-    i_psi, i_phi, se_min, n_ties = se_argmin(tab0, zeros, 1.0, 0.0, 1e-12)
+    i_psi, i_phi, se_min, n_ties = (v[0] for v in se_argmin(tab0, zeros, [1.0], [0.0], 1e-12))
     assert (i_psi, i_phi, n_ties) == (0, 1, 2)
     assert se_min == 0.0
 
     # unique minimum at (1, 0)
     tab0 = np.array([[5.0, 3.0], [1.0, 4.0]])
-    i_psi, i_phi, se_min, n_ties = se_argmin(tab0, zeros, 1.0, 0.0, 1e-12)
+    i_psi, i_phi, se_min, n_ties = (v[0] for v in se_argmin(tab0, zeros, [1.0], [0.0], 1e-12))
     assert (i_psi, i_phi, n_ties) == (1, 0, 1)
 
 
@@ -169,7 +169,7 @@ def test_se_argmin_tie_tolerance_window():
     zeros = np.zeros((1, 3))
     # offsets 0, 1e-7, 1e-5 -> squared errors 0, 1e-14, 1e-10
     tab0 = np.array([[1.0, 1.0 + 1e-7, 1.0 + 1e-5]])
-    i_psi, i_phi, _, n_ties = se_argmin(tab0, zeros, 1.0, 0.0, 1e-12)
+    i_psi, i_phi, _, n_ties = (v[0] for v in se_argmin(tab0, zeros, [1.0], [0.0], 1e-12))
     assert (i_psi, i_phi) == (0, 0)
     assert n_ties == 2
 
@@ -245,10 +245,6 @@ def test_pruned_se_argmin_matches_the_brute_force(block, case):
     tab0, tab45, g0, g45, tie_eps = case
     with mock.patch.object(_kernels, "ARGMIN_BLOCK_PAIRS", block):
         _assert_matches_oracle(tab0, tab45, g0, g45, tie_eps)
-        scalar = se_argmin(tab0, tab45, float(g0[0]), float(g45[0]), tie_eps)
-    ref = _ref_se_argmin(tab0, tab45, float(g0[0]), float(g45[0]), tie_eps)
-    assert scalar == ref
-    assert [type(v) for v in scalar] == [int, int, float, int]
 
 
 def test_pruned_se_argmin_on_the_default_grid(tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fwmqkd import session
 from fwmqkd.errors import MessageEncodingError, ParameterError
-from fwmqkd.photons import AttenuationConfig
+from fwmqkd._kernels import STREAM_SESSION, pulse_randoms
+from fwmqkd.photons import AttenuationConfig, counts_from_uniforms
 from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
 from fwmqkd.session import (
     BITS_PER_CHAR,
@@ -19,11 +20,9 @@ from fwmqkd.session import (
     SessionConfig,
     _build_trajectory,
     _draw_batch,
-    decode_bits,
     decode_matrix,
     decode_to_text,
     encode_message,
-    run_pulse,
     run_session,
     sift_mask,
 )
@@ -166,20 +165,22 @@ class TestDecoding:
     def test_running_mean_splits_clear_contrasts(self):
         ch = _channel(540.0, THETA_SPLIT)
         p = np.array([0.8, -0.95, 0.75, -0.9])
-        np.testing.assert_array_equal(decode_bits(p, ch), [1, 0, 1, 0])
+        np.testing.assert_array_equal(decode_matrix(p[None, :], ch)[0][0], [1, 0, 1, 0])
 
     def test_single_sided_rows_fall_back_to_the_calibration_midpoint(self):
         ch = _channel(540.0, THETA_SPLIT)
         # every value on the bit-1 side of the midpoint, spread far below gap/2
         p = np.full(8, ch.cal_p1)
-        np.testing.assert_array_equal(decode_bits(p, ch), np.ones(8, dtype=np.int64))
+        np.testing.assert_array_equal(decode_matrix(p[None, :], ch)[0][0],
+                                      np.ones(8, dtype=np.int64))
         p = np.full(8, ch.cal_p0)
-        np.testing.assert_array_equal(decode_bits(p, ch), np.zeros(8, dtype=np.int64))
+        np.testing.assert_array_equal(decode_matrix(p[None, :], ch)[0][0],
+                                      np.zeros(8, dtype=np.int64))
 
     def test_nan_and_ties_stay_undecided(self):
         ch = _channel(540.0, THETA_SPLIT)
         p = np.array([np.nan, ch.fixed_threshold, 0.8])
-        out = decode_bits(p, ch, threshold_mode="fixed")
+        out = decode_matrix(p[None, :], ch, threshold_mode="fixed")[0][0]
         assert out[0] == -1
         assert out[1] == -1
         assert out[2] == 1
@@ -187,13 +188,13 @@ class TestDecoding:
     def test_inverted_channel_flips_the_comparison(self):
         ch = _channel(500.0, THETA_MIX)
         p = np.array([ch.cal_p1, ch.cal_p0])
-        np.testing.assert_array_equal(decode_bits(p, ch), [1, 0])
+        np.testing.assert_array_equal(decode_matrix(p[None, :], ch)[0][0], [1, 0])
 
     def test_fixed_mode_uses_the_midpoint_everywhere(self):
         ch = _channel(540.0, THETA_SPLIT)
         eps = 1e-6
         p = np.array([ch.fixed_threshold + eps, ch.fixed_threshold - eps])
-        np.testing.assert_array_equal(decode_bits(p, ch, "fixed"), [1, 0])
+        np.testing.assert_array_equal(decode_matrix(p[None, :], ch, "fixed")[0][0], [1, 0])
 
     def test_rows_report_whether_they_fell_back_to_the_midpoint(self):
         ch = _channel(540.0, THETA_SPLIT)
@@ -211,52 +212,21 @@ class TestDecoding:
     def test_unknown_mode_is_rejected(self):
         ch = _channel()
         with pytest.raises(ParameterError):
-            decode_bits(np.array([0.5]), ch, "median")
+            decode_matrix(np.array([[0.5]]), ch, "median")
 
 
 class TestRunPulse:
-    def test_pulse_is_reproducible(self):
-        cfg = SessionConfig(seed=5)
-        ch = ChannelModel.from_config(cfg)
-        a = run_pulse(cfg, ch, 17)
-        b = run_pulse(cfg, ch, 17)
-        assert (a.alice_bit, a.basis_bit, a.n_h, a.n_v, a.clamped) == (
-            b.alice_bit,
-            b.basis_bit,
-            b.n_h,
-            b.n_v,
-            b.clamped,
-        )
+    """Pulses at one fixed setting, drawn from the positional generator."""
 
     def test_long_delay_extinguishes_the_horizontal_port(self):
         # at 5000 fs the cross-polarized amplitude has decayed by e^-50
         cfg = SessionConfig(seed=5, delay_bit0=5000.0)
         ch = ChannelModel.from_config(cfg)
-        n_h = n_v = 0
-        for i in range(1000):
-            rec = run_pulse(cfg, ch, i, alice_bit=0, basis_bit=ch.decode_basis)
-            n_h += rec.n_h
-            n_v += rec.n_v
-        assert n_h == 0
-        assert n_v > 300
-
-    def test_forced_bits_override_the_random_ones(self):
-        cfg = SessionConfig(seed=5)
-        ch = ChannelModel.from_config(cfg)
-        for i in range(20):
-            rec = run_pulse(cfg, ch, i, alice_bit=1, basis_bit=0)
-            assert (rec.alice_bit, rec.basis_bit) == (1, 0)
-
-    def test_matches_the_batch_path_exactly(self):
-        cfg = SessionConfig(seed=31)
-        ch = ChannelModel.from_config(cfg)
-        n_h, n_v, alice, basis, _ = _draw_batch(cfg, ch, 40, 25)
-        for k in range(25):
-            rec = run_pulse(cfg, ch, 40 + k)
-            assert rec.alice_bit == alice[k]
-            assert rec.basis_bit == basis[k]
-            assert rec.n_h == n_h[k]
-            assert rec.n_v == n_v[k]
+        u_gain, u_h, u_v, _, _ = pulse_randoms(cfg.seed, STREAM_SESSION, 0, 1000)
+        i_h, i_v = ch.itable[0, ch.decode_basis]
+        _, n_h, n_v, _ = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, cfg.attenuation)
+        assert n_h.sum() == 0
+        assert n_v.sum() > 300
 
 
 class TestRunSession:
@@ -354,6 +324,23 @@ class TestRunSession:
         assert a.decoded_message == b.decoded_message
         np.testing.assert_array_equal(a.slot_h, b.slot_h)
         np.testing.assert_array_equal(a.slot_contrast, b.slot_contrast)
+
+    @pytest.mark.parametrize("lam, theta", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    @pytest.mark.parametrize("message, cycles, photons", [("T", 1, 0.01), ("Tar", 40, 1.0)])
+    def test_final_decode_equals_a_decode_of_the_slot_contrasts(self, lam, theta, mode,
+                                                                message, cycles, photons):
+        # The report takes its decode from the trajectory's last budget row;
+        # decoding the full slot tallies directly is the oracle.
+        for seed in (1, 7, 20260814):
+            report = run_session(SessionConfig(
+                message=message, cycles=cycles, seed=seed, lambda_nm=lam, decode_theta=theta,
+                threshold_mode=mode, attenuation=AttenuationConfig(mean_total_photons=photons)))
+            want = decode_matrix(report.slot_contrast[None, :], report.channel, mode)[0][0]
+            assert report.decoded_bits.dtype == want.dtype
+            np.testing.assert_array_equal(report.decoded_bits, want)
+            assert report.accuracy == float(np.mean(want == report.bits))
+            assert report.decoded_message == decode_to_text(want)
 
 
 def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, threshold_mode):
