@@ -37,12 +37,12 @@ MANIFEST_NAME = "manifest.json"
 
 RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 
-# Rows formatted per write: large enough that the per-chunk overhead is
-# negligible, small enough that the formatted rows of one chunk (Python lists,
-# tuples and text, about 400 B a row) stay near 1.6 MB.  Larger chunks, and
-# bool columns turned to text whole, made the peak memory of a long qkd run
-# swing by several MiB from run to run; 2^12 rows cost no speed.
-CSV_CHUNK_ROWS = 1 << 12
+# Rows formatted per write.  A chunk's padded byte matrix, its mask and the
+# bytes written peak at 4 to 5 x CSV_CHUNK_ROWS x (row width) bytes: 1.9 MiB
+# for trajectory.csv's 27-byte rows, 1.1 MiB for records.csv's 17-byte rows
+# (tracemalloc).  2^13 to 2^15 rows wrote both files equally fast; 2^16
+# wrote records.csv slower, and 2^12 paid more per-chunk overhead.
+CSV_CHUNK_ROWS = 1 << 14
 
 
 def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
@@ -59,28 +59,131 @@ def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     return base / f"fwmqkd_{command.replace('-', '_')}"
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV rows, CSV_CHUNK_ROWS rows at a time.
+def write_csv(path: Path, header: list[str], *blocks) -> None:
+    """Write blocks of equal-length columns as the rows of one CSV table.
 
-    Each column is converted to an array once and gets one printf code:
-    floats print as their shortest round-trip repr, integers and strings via
-    str, and bools as true/false, mapped one chunk at a time.  A float and
-    an integer column therefore differ ("0.0" against "0"), so callers keep
-    each column's own type.
+    Each block holds one column per header name, and its rows follow the
+    previous block's.  Integers print via str, floats as their shortest
+    round-trip repr (float32 and float16 through float()), bools as
+    true/false and strings as they are; a float and an integer column
+    therefore differ ("0.0" against "0"), so callers keep each column's own
+    type.  Every block is checked before the file is opened.
+
+    The rows are formatted CSV_CHUNK_ROWS at a time, with no Python code per
+    row: integer columns become digits by arithmetic on the whole chunk,
+    every other column indexes a table of its chunk's distinct values, each
+    formatted once.  The cells and separators fill one padded byte matrix,
+    and a mask of each cell's length drops the padding before the chunk is
+    written.
     """
-    arrays = [np.asarray(column) for column in columns]
-    codes = ["%r" if a.dtype.kind == "f" else "%s" for a in arrays]
-    template = ",".join(codes) + "\n"
-    n_rows = len(arrays[0]) if arrays else 0
-    if any(len(a) != n_rows for a in arrays):
-        raise ValueError(f"{path}: CSV columns differ in length")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]
-            chunk = [(np.where(c, "true", "false") if c.dtype.kind == "b" else c).tolist()
-                     for c in chunk]
-            f.write("".join(map(template.__mod__, zip(*chunk))))
+    tables = [[np.asarray(column) for column in block] for block in blocks]
+    for arrays in tables:
+        if len(arrays) != len(header):
+            raise ValueError(f"{path}: a block has {len(arrays)} CSV columns "
+                             f"for {len(header)} header names")
+        for a in arrays:
+            if a.dtype.kind not in "biufU":
+                raise TypeError(f"{path}: cannot write a CSV column of dtype {a.dtype}")
+        if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+            raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode("utf-8"))
+        for arrays in tables:
+            n_rows = len(arrays[0]) if arrays else 0
+            for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+                f.write(_csv_rows([a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]))
+
+
+def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The UTF-8 bytes of a chunk's CSV rows, as a flat uint8 array.
+
+    Each column settles its cell width first, so the padded matrix of the
+    chunk is allocated once and every column writes straight into its slice.
+    """
+    cells = [_digit_cells(c) if c.dtype.kind in "iu" else _table_cells(c) for c in columns]
+    n_rows = len(columns[0])
+    width = sum(cell_width + 1 for cell_width, _ in cells)
+    text = np.empty((n_rows, width), dtype=np.uint8)
+    keep = np.empty((n_rows, width), dtype=bool)
+    lo = 0
+    for k, (cell_width, fill) in enumerate(cells):
+        hi = lo + cell_width
+        fill(text[:, lo:hi], keep[:, lo:hi])
+        text[:, hi] = ord("\n" if k == len(cells) - 1 else ",")
+        keep[:, hi] = True
+        lo = hi + 1
+    return text[keep]
+
+
+def _digit_cells(a: np.ndarray):
+    """Cell width of an integer column, and a function that writes its
+    right-aligned decimal text and the mask of its bytes into a slice.
+
+    Only as many digits are made as the largest magnitude has; the leading
+    zeros of shorter values fall outside their length.  The magnitude is
+    taken as uint64, which holds every uint64 value and the magnitude of
+    -2**63.
+    """
+    lowest, highest = int(a.min()), int(a.max())
+    n_digits = len(str(max(-lowest, highest)))
+    width = max(len(str(lowest)), len(str(highest)))
+
+    def fill(text: np.ndarray, keep: np.ndarray) -> None:
+        # Negative values wrap modulo 2**64 and are negated back in uint64.
+        mag = a.astype(np.uint64)
+        if lowest < 0:
+            np.negative(mag, out=mag, where=a < 0)
+        if max(-lowest, highest) < 2**32:
+            mag = mag.astype(np.uint32)  # divides about twice as fast
+        digit = np.empty_like(mag)
+        lengths = np.ones(a.size, dtype=np.intp)
+        for i in range(n_digits):
+            np.subtract(mag, mag // 10 * 10, out=digit)
+            np.add(digit, ord("0"), out=text[:, width - 1 - i], casting="unsafe")
+            mag //= 10
+            if i + 1 < n_digits:
+                lengths += mag != 0
+        if lowest < 0:
+            neg = np.flatnonzero(a < 0)
+            text[neg, width - 1 - lengths[neg]] = ord("-")
+            lengths[neg] += 1
+        # Row l of the table keeps the last l bytes of a cell.
+        suffix = np.arange(width) >= width - np.arange(width + 1)[:, None]
+        keep[...] = np.take(suffix, lengths, axis=0)
+
+    return width, fill
+
+
+def _table_cells(a: np.ndarray):
+    """Cell width of a bool, float or string column, and a function that
+    writes its left-aligned UTF-8 text and the mask of its bytes into a
+    slice, gathered from a table of the column's distinct values, each
+    formatted once.
+
+    Floats are told apart by bit pattern, so -0.0 keeps its own entry.
+    """
+    if a.dtype.kind == "b":
+        index = a.view(np.uint8)
+        labels = ["false", "true"]
+    elif a.dtype.kind == "f":
+        if a.dtype.itemsize > 8:
+            a = a.astype(np.float64)
+        values, index = np.unique(a.view(f"u{a.dtype.itemsize}"), return_inverse=True)
+        labels = map(repr, values.view(a.dtype).tolist())
+    else:
+        values, index = np.unique(a, return_inverse=True)
+        labels = values.tolist()
+    encoded = [label.encode("utf-8") for label in labels]
+    sizes = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    width = max(1, int(sizes.max()))
+    table = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    table_keep = np.arange(width) < sizes[:, None]
+
+    def fill(text: np.ndarray, keep: np.ndarray) -> None:
+        text[...] = np.take(table, index, axis=0)
+        keep[...] = np.take(table_keep, index, axis=0)
+
+    return width, fill
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -409,8 +512,8 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
             "sipm_roundtrip_total": 2 * pulses,
             "stats": setting_stats,
         }
-        records.append([np.arange(start, start + pulses), np.full(pulses, t),
-                        np.full(pulses, theta_deg), batch.n_h, batch.n_v])
+        records.append([np.arange(start, start + pulses), np.broadcast_to(t, pulses),
+                        np.broadcast_to(theta_deg, pulses), batch.n_h, batch.n_v])
     sep = resolution(stats[0], stats[45])
     payload["resolution"] = {
         "value": sep.value if math.isfinite(sep.value) else None,
@@ -421,6 +524,5 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     json_path = out_dir / "detector_check.json"
     write_json(json_path, payload)
     records_path = out_dir / "records.csv"
-    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"],
-              [np.concatenate(parts) for parts in zip(*records)])
+    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"], *records)
     return [json_path, records_path]

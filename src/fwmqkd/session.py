@@ -350,37 +350,17 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     events = []
     for first in range(0, n_slots, block_slots):
         last = min(first + block_slots, n_slots)
-        n_h, n_v, alice, basis, clamped = _draw_batch(
-            config, channel, first * cycles, (last - first) * cycles
-        )
-        slot = np.repeat(np.arange(first, last), cycles)
-        mask = sift_mask(alice, basis, bits[slot], channel.decode_basis)
-        kept += int(np.count_nonzero(mask))
-        clamped_kept += int(np.count_nonzero(clamped & mask))
-        slot_h[first:last] = np.where(mask, n_h, 0).reshape(-1, cycles).sum(axis=1)
-        slot_v[first:last] = np.where(mask, n_v, 0).reshape(-1, cycles).sum(axis=1)
-        # Events are the sifted pulses that produced at least one photon; the
-        # all-photons count runs over every pulse of the slot, kept or not.
-        # Blocks hold whole slots, so each slot's running counts are taken
-        # within its block.
-        totals = n_h + n_v
-        c_all = np.cumsum(totals.reshape(-1, cycles), axis=1).ravel()
-        ev = mask & (totals > 0)
-        ev_slot = slot[ev]
-        first_event = np.searchsorted(ev_slot, ev_slot)
-        events.append((ev_slot.astype(np.int32),
-                       _slot_cumsum(n_h[ev], first_event).astype(count_dtype),
-                       _slot_cumsum(n_v[ev], first_event).astype(count_dtype),
-                       c_all[ev].astype(count_dtype)))
-    ev_slot, ev_ch, ev_cv, ev_all = (np.concatenate(parts) for parts in zip(*events))
-    del events
+        block_kept, block_clamped, block_events = _sift_block(
+            config, channel, bits, first, last, slot_h, slot_v, count_dtype)
+        kept += block_kept
+        clamped_kept += block_clamped
+        events.append(block_events)
 
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
 
-    trajectory = _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits,
-                                   channel, config.threshold_mode)
+    trajectory = _build_trajectory(events, n_slots, bits, channel, config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
 
@@ -408,6 +388,38 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     )
 
 
+def _sift_block(config, channel, bits, first, last, slot_h, slot_v, count_dtype):
+    """Draw and sift the pulses of slots first to last - 1.
+
+    Writes the slots' retained H and V photon totals into slot_h and slot_v
+    and returns the block's kept and clamped-kept pulse counts and its event
+    arrays (slot, running H and V totals, all-photon running count).  The
+    pulse arrays are locals here, so none of them outlives the block.
+    """
+    cycles = config.cycles
+    n_h, n_v, alice, basis, clamped = _draw_batch(
+        config, channel, first * cycles, (last - first) * cycles
+    )
+    slot = np.repeat(np.arange(first, last), cycles)
+    mask = sift_mask(alice, basis, bits[slot], channel.decode_basis)
+    slot_h[first:last] = np.where(mask, n_h, 0).reshape(-1, cycles).sum(axis=1)
+    slot_v[first:last] = np.where(mask, n_v, 0).reshape(-1, cycles).sum(axis=1)
+    # Events are the sifted pulses that produced at least one photon; the
+    # all-photons count runs over every pulse of the slot, kept or not.
+    # Blocks hold whole slots, so each slot's running counts are taken
+    # within its block.
+    totals = n_h + n_v
+    c_all = np.cumsum(totals.reshape(-1, cycles), axis=1).ravel()
+    ev = mask & (totals > 0)
+    ev_slot = slot[ev]
+    first_event = np.searchsorted(ev_slot, ev_slot)
+    events = (ev_slot.astype(np.int32),
+              _slot_cumsum(n_h[ev], first_event).astype(count_dtype),
+              _slot_cumsum(n_v[ev], first_event).astype(count_dtype),
+              c_all[ev].astype(count_dtype))
+    return int(np.count_nonzero(mask)), int(np.count_nonzero(clamped & mask)), events
+
+
 def _slot_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Running sum of values restarting at each slot's first event."""
     run = np.cumsum(values)
@@ -431,13 +443,15 @@ def _filled(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
-                      threshold_mode) -> Trajectory:
+def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Trajectory:
     """Decode along the photon budget axis, a chunk of budget rows at a time.
 
-    The event arrays hold, in pulse order and so grouped by slot, the slot,
-    the slot's retained H and V running totals and its all-photon running
-    count at every sifted pulse that produced a photon.  Row r of the
+    events is a list of per-block tuples of event arrays.  Joined, they hold,
+    in pulse order and so grouped by slot, the slot, the slot's retained H
+    and V running totals and its all-photon running count at every sifted
+    pulse that produced a photon.  The build joins them and empties the
+    list, so that it holds the only references to the event arrays and
+    frees each one once it is merged or no longer read.  Row r of the
     budget x slot state points each slot at its last event with retained
     total ct <= r.  A chunk starts from the previous chunk's last row,
     scatters the events whose ct falls inside it at row ct and carries them
@@ -451,13 +465,17 @@ def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
     without a photon (among them every slot's row at budget 0); each flip is
     inserted among the events at its place in (slot, budget) order.
     """
+    ev_slot, ev_ch, ev_cv, ev_all = (np.concatenate(parts) for parts in zip(*events))
+    events.clear()
     ct = ev_ch + ev_cv
     n_rows = (int(ct.max()) if ct.size else 0) + 1
     budgets = np.arange(n_rows)
     rows_per_chunk = max(1, TRAJECTORY_CHUNK_CELLS // n_slots)
     # Events grouped by chunk, and where each chunk's events start.
     chunk_of = ct // rows_per_chunk
-    order = np.argsort(chunk_of, kind="stable")
+    # order is the widest event array alive in the loop; an index type no
+    # wider than the event count needs keeps it at 4 B or less per event.
+    order = np.argsort(chunk_of, kind="stable").astype(np.min_scalar_type(ct.size))
     n_chunks = -(-n_rows // rows_per_chunk)
     chunk_start = np.concatenate(([0], np.cumsum(np.bincount(chunk_of, minlength=n_chunks))))
     del chunk_of
@@ -513,7 +531,7 @@ def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
         before = np.maximum(idx[row, col] + 1, slot_start[col])
         flips.append((col, row + lo, t_mat[row, col], p_mat[row, col], decoded[row, col], before))
         last_idx, last_est = idx[-1], decoded[-1]
-    del order
+    del order, ev_ch, ev_cv, ev_all
 
     f_slot, f_budget, f_photons, f_contrast, f_estimate, f_before = (
         np.concatenate(parts) for parts in zip(*flips))
@@ -524,13 +542,20 @@ def _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits, channel,
     def merged(ev_values, flip_values):
         return np.insert(ev_values, f_before[by_slot], flip_values[by_slot])
 
+    # Each event array goes as soon as its merged rows exist.
+    change_contrast = merged(ev_contrast, f_contrast)
+    del ev_contrast
+    change_estimate = merged(ev_estimate, f_estimate)
+    del ev_estimate
+    change_slot = merged(ev_slot.astype(np.int32, copy=False), f_slot)
+    del ev_slot
     return Trajectory(
         budgets, retained, all_photons, accuracy, undecided, used_midpoint,
-        change_slot=merged(ev_slot.astype(np.int32, copy=False), f_slot),
+        change_slot=change_slot,
         change_budget=merged(ct, f_budget),
         change_photons=merged(ct, f_photons),
-        change_contrast=merged(ev_contrast, f_contrast),
-        change_estimate=merged(ev_estimate, f_estimate),
+        change_contrast=change_contrast,
+        change_estimate=change_estimate,
         snapshot_budget=marks,
         snapshot_estimate=snapshot_estimate,
     )

@@ -1,6 +1,8 @@
 """The column-wise CSV writer against the row-wise writer it replaced."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,20 +47,25 @@ EDGE_INTS = [0, -1, 1, 2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63)]
 def _elements(dtype):
     if dtype.kind == "f":
         finfo = np.finfo(dtype)
-        edges = [float(dtype.type(v)) for v in EDGE_FLOATS]
+        with np.errstate(over="ignore"):
+            edges = [float(dtype.type(v)) for v in EDGE_FLOATS]
         return st.one_of(st.sampled_from(edges), st.floats(width=finfo.bits))
     if dtype.kind in "iu":
         info = np.iinfo(dtype)
-        edges = [v for v in EDGE_INTS if info.min <= v <= info.max]
+        # the dtype's own limits, 2**63, which only uint64 holds, and the
+        # smallest magnitude past uint32
+        candidates = [*EDGE_INTS, int(info.min), int(info.max), 2 ** 63, 2 ** 32, -(2 ** 32)]
+        edges = [v for v in candidates if info.min <= v <= info.max]
         return st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
     if dtype.kind == "U":
         # numpy drops trailing NULs, and surrogates do not encode as UTF-8
         chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
-        return st.text(chars, max_size=6)
+        return st.text(chars, max_size=dtype.itemsize // 4)
     return st.booleans()
 
 
-DTYPES = [np.dtype(t) for t in ("int64", "int32", "uint8", "float64", "float32", "bool", "U6")]
+DTYPES = [np.dtype(t) for t in ("int64", "int32", "uint8", "float64", "float32", "bool", "U6",
+                                 "int8", "uint64", "float16", "U40")]
 # no rows, one row, one chunk and one chunk either side, several chunks
 LENGTHS = [0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 3 * SMALL_CHUNK + 2]
 
@@ -111,3 +118,77 @@ def test_several_chunks_at_the_real_chunk_size(tmp_path):
 def test_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(2)])
+
+
+@st.composite
+def _blocks(draw):
+    n_columns = draw(st.integers(1, 4))
+    # empty, single-row and chunk-edge blocks, each column's dtype drawn per block
+    sizes = st.sampled_from([0, 1, SMALL_CHUNK - 1, SMALL_CHUNK + 1])
+    blocks = []
+    for n in draw(st.lists(sizes, min_size=1, max_size=4)):
+        dtypes = draw(st.lists(st.sampled_from(DTYPES), min_size=n_columns, max_size=n_columns))
+        blocks.append([draw(hnp.arrays(dt, n, elements=_elements(dt))) for dt in dtypes])
+    return blocks
+
+
+@given(_blocks())
+def test_blocks_match_the_row_wise_writer_on_their_joined_rows(tmp_path_factory, blocks):
+    header = [f"c{i}" for i in range(len(blocks[0]))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "CSV_CHUNK_ROWS", SMALL_CHUNK)
+        write_csv(path, header, *blocks)
+    rows = itertools.chain.from_iterable(zip(*block) for block in blocks)
+    assert path.read_bytes() == _reference_csv(header, rows)
+
+
+def test_a_header_without_blocks_gives_the_header_line_only(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+
+def test_long_double_prints_as_its_nearest_double(tmp_path):
+    values = np.array([0.1, -0.0, 1e300], dtype=np.longdouble)
+    assert _written(tmp_path, ["x"], [values]) == _reference_csv(["x"], zip(values))
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(3)],
+    [np.arange(3), np.arange(3), np.arange(3)],
+], ids=["fewer", "more"])
+def test_a_block_with_another_column_count_than_the_header_is_rejected(tmp_path, columns):
+    with pytest.raises(ValueError, match="header"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(3)], columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("column", [
+    np.array([1, "a", None], dtype=object),
+    np.array([1 + 2j, 3j]),
+    np.array([b"ab", b"c"]),
+    np.array(["2025-01-01"], dtype="datetime64[D]"),
+    np.array([1], dtype="timedelta64[s]"),
+], ids=["object", "complex", "bytes", "datetime", "timedelta"])
+def test_a_column_of_another_dtype_is_rejected(tmp_path, column):
+    with pytest.raises(TypeError, match="dtype"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(column.size), column])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_memory_follows_the_chunk_not_the_row_count(tmp_path):
+    # 2^18 rows are 16 chunks; the text of the whole table would be 9 MiB
+    n = 1 << 18
+    rng = np.random.default_rng(5)
+    columns = [np.arange(n), rng.standard_normal(n),
+               rng.integers(-500, 500, n).astype(np.int32), rng.integers(0, 2, n) > 0]
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["i", "x", "k", "b"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_width = path.stat().st_size / n
+    assert n >= 16 * pipeline.CSV_CHUNK_ROWS
+    assert peak < 8 * pipeline.CSV_CHUNK_ROWS * row_width

@@ -460,7 +460,7 @@ def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
     for name, chunk in CHUNK_CELLS.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
-            got = _build_trajectory(*events, bits.size, bits, channel, mode)
+            got = _build_trajectory([events], bits.size, bits, channel, mode)
         _assert_same_trajectory(got, expected, context=f"chunk size {name}: ")
 
 
@@ -500,7 +500,7 @@ class TestTrajectoryReference:
         n_v = np.zeros(8, dtype=np.int64)
         mask = np.ones(8, dtype=bool)
         bits = np.array([1, 0, 1, 0], dtype=np.int64)
-        traj = _build_trajectory(*_events(n_h, n_v, mask, 2), bits.size, bits,
+        traj = _build_trajectory([_events(n_h, n_v, mask, 2)], bits.size, bits,
                                  _channel(), "running-mean")
         assert traj.budget.size == 4 and traj.used_midpoint.all()
         assert {row["threshold"] for row in traj.curve_rows()} == {"midpoint"}
@@ -560,11 +560,24 @@ class TestTrajectoryStorage:
         bits = np.array([1, 0], dtype=np.int64)
         ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
         wide = (ev[0],) + tuple(a.astype(np.int64) for a in ev[1:])
-        narrow = _build_trajectory(*ev, 2, bits, _channel(), "running-mean")
-        traj = _build_trajectory(*wide, 2, bits, _channel(), "running-mean")
+        narrow = _build_trajectory([ev], 2, bits, _channel(), "running-mean")
+        traj = _build_trajectory([wide], 2, bits, _channel(), "running-mean")
         assert traj.change_photons.dtype == traj.change_budget.dtype == np.int64
         for name in session.Trajectory.__dataclass_fields__:
             np.testing.assert_array_equal(getattr(traj, name), getattr(narrow, name))
+
+    def test_the_build_takes_the_event_arrays_out_of_its_list(self):
+        # run_session keeps no reference, so the build can free each array
+        n_h = np.array([1, 0, 2, 1], dtype=np.int64)
+        n_v = np.array([0, 1, 1, 0], dtype=np.int64)
+        bits = np.array([1, 0], dtype=np.int64)
+        ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
+        split = int(np.searchsorted(ev[0], 1))
+        events = [tuple(a[:split] for a in ev), tuple(a[split:] for a in ev)]
+        joined = _build_trajectory([ev], 2, bits, _channel(), "running-mean")
+        traj = _build_trajectory(events, 2, bits, _channel(), "running-mean")
+        assert events == []
+        _assert_same_trajectory(traj, joined)
 
     def test_memory_is_bounded_by_the_chunk_not_the_budget_axis(self):
         # 3,000 slots and several thousand budget rows: one dense float64
@@ -587,7 +600,7 @@ class TestTrajectoryStorage:
         assert 2_500 < ct.max() < 6_000
         tracemalloc.start()
         try:
-            traj = _build_trajectory(ev_slot, ev_ch, ev_cv, ev_all, n_slots, bits,
+            traj = _build_trajectory([(ev_slot, ev_ch, ev_cv, ev_all)], n_slots, bits,
                                      channel, "running-mean")
             _, peak = tracemalloc.get_traced_memory()
         finally:
