@@ -15,6 +15,7 @@ independent of batch boundaries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +128,10 @@ def counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config: AttenuationConfig):
 
 
 def compute_g2(total_counts) -> float:
-    """Normalized second-order correlation <n(n-1)> / <n>^2 of pulse totals."""
-    n = np.asarray(total_counts, dtype=np.float64)
-    mean = n.mean()
-    if mean == 0.0:
-        raise DegenerateInputError("no photons recorded, g2 is undefined")
-    return float((n * (n - 1.0)).mean() / (mean * mean))
+    """Normalized second-order correlation <n(n-1)> / <n>^2 of integer pulse
+    totals: g2_from_tally of one block, with the totals standing in for n_H."""
+    n = np.asarray(total_counts, dtype=np.int64)
+    return g2_from_tally(tally_pairs(n, np.zeros_like(n)))
 
 
 @dataclass(frozen=True)
@@ -166,33 +165,86 @@ class ContrastStats:
 
 
 def accumulate_contrast(n_h, n_v) -> ContrastStats:
-    """Reduce per-pulse counts to contrast estimates.
+    """Reduce per-pulse counts to contrast estimates: contrast_from_tally of
+    one block."""
+    return contrast_from_tally(tally_pairs(n_h, n_v))
 
-    Per-record contrasts and the residual sum use compensated summation so
-    the estimates do not drift over long runs.
+
+def tally_pairs(n_h, n_v) -> Counter:
+    """Count the records of a block at each distinct (n_H, n_V) pair.
+
+    Every statistic of the records depends only on these counts, so a run
+    can add up the tallies of its blocks (Counter.update) and keep nothing
+    else.  The pairs are found by one np.unique over a 1-D key.
     """
     n_h = np.asarray(n_h, dtype=np.int64)
     n_v = np.asarray(n_v, dtype=np.int64)
     if n_h.shape != n_v.shape:
         raise ParameterError("port count arrays must have matching shapes")
-    totals = n_h + n_v
-    mask = totals > 0
-    m_total = int(n_h.size)
-    m_used = int(np.count_nonzero(mask))
-    total_h = int(n_h.sum())
-    total_v = int(n_v.sum())
+    if n_h.size == 0:
+        return Counter()
+    low_h, low_v = int(n_h.min()), int(n_v.min())
+    width = int(n_v.max()) - low_v + 1
+    if (int(n_h.max()) - low_h + 1) * width > 2**63:
+        return Counter(zip(n_h.ravel().tolist(), n_v.ravel().tolist()))
+    keys, counts = np.unique((n_h - low_h) * width + (n_v - low_v), return_counts=True)
+    h, v = np.divmod(keys, width)
+    return Counter(dict(zip(zip((h + low_h).tolist(), (v + low_v).tolist()), counts.tolist())))
+
+
+def contrast_from_tally(pairs: Counter) -> ContrastStats:
+    """Contrast estimates of the records a tally counts.
+
+    Each distinct pair's contrast, and its squared residual, is one float
+    operation as it would be per record.  Their sums over the records are
+    taken as exact fractions and rounded once, which is the correctly
+    rounded sum math.fsum gives over the records one by one.
+    """
+    m_total = sum(pairs.values())
+    total_h = sum(h * c for (h, _), c in pairs.items())
+    total_v = sum(v * c for (_, v), c in pairs.items())
     pooled = total_h + total_v
     if pooled == 0:
         raise DegenerateInputError("no photons in any record, contrast is undefined")
     p_cum = (total_h - total_v) / pooled
-    p_k = (n_h[mask] - n_v[mask]) / totals[mask]
-    p_bar = math.fsum(p_k.tolist()) / m_used
+    used = [((h - v) / (h + v), c) for (h, v), c in pairs.items() if h + v > 0]
+    m_used = sum(c for _, c in used)
+    p_bar = _exact_sum(used) / m_used
     if m_used < 2:
         sigma = 0.0
     else:
-        residual = math.fsum(((p_k - p_bar) ** 2).tolist())
+        residual = _exact_sum(((p - p_bar) * (p - p_bar), c) for p, c in used)
         sigma = math.sqrt(residual / (m_used * (m_used - 1)))
     return ContrastStats(p_bar, p_cum, sigma, m_total, m_used, total_h, total_v)
+
+
+def g2_from_tally(pairs: Counter) -> float:
+    """Normalized second-order correlation <n(n-1)> / <n>^2 of the pulse
+    totals n = n_H + n_V a tally counts.
+
+    The sums of n and n(n-1) are exact integers.  While they stay below
+    2**53, a float sum over the records is exact too, so the result is the
+    per-record float mean's bit for bit.
+    """
+    count = sum(pairs.values())
+    s1 = sum((h + v) * c for (h, v), c in pairs.items())
+    s2 = sum((h + v) * (h + v - 1) * c for (h, v), c in pairs.items())
+    if s1 == 0:
+        raise DegenerateInputError("no photons recorded, g2 is undefined")
+    mean = s1 / count
+    return (s2 / count) / (mean * mean)
+
+
+def _exact_sum(terms) -> float:
+    """Sum of value * count over (float, int) terms, rounded once.
+
+    Every float is an integer over a power of two, so the sum is one exact
+    fraction over the largest of those powers, and int / int rounds it
+    correctly.
+    """
+    ratios = [(value.as_integer_ratio(), count) for value, count in terms]
+    scale = max(d for (_, d), _ in ratios)
+    return sum(n * count * (scale // d) for (n, d), count in ratios) / scale
 
 
 @dataclass(frozen=True)

@@ -9,31 +9,41 @@ manifest included.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
+from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
+from . import session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
 from .config import ENV_OUTPUT_DIR, attenuation_from, grid_spec_from, model_params_from, session_config_from
 from .errors import ConfigError
 from .optics import detected_intensities, intensity_pair, polarization_contrast
 from .photons import (
-    accumulate_contrast,
-    compute_g2,
+    contrast_from_tally,
     draw_photon_counts,
     emulate_sipm,
+    g2_from_tally,
     invert_sipm,
     resolution,
+    tally_pairs,
 )
 from .reconstruct import THETA_MIX, THETA_SPLIT, intensity_ratio, reconstruct_map
 from .session import run_session
 from .spectral import Condition, field_arrays, field_components, signal_spectrum
 
 MANIFEST_NAME = "manifest.json"
+
+# Bytes read per step while a manifest hashes an output, so hashing never
+# holds a whole file.
+MANIFEST_READ_BYTES = 1 << 20
 
 RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 
@@ -59,15 +69,20 @@ def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     return base / f"fwmqkd_{command.replace('-', '_')}"
 
 
-def write_csv(path: Path, header: list[str], *blocks) -> None:
+def write_csv(path: Path, header: list[str], *blocks, stream: Iterable = ()) -> None:
     """Write blocks of equal-length columns as the rows of one CSV table.
 
     Each block holds one column per header name, and its rows follow the
-    previous block's.  Integers print via str, floats as their shortest
-    round-trip repr (float32 and float16 through float()), bools as
-    true/false and strings as they are; a float and an integer column
-    therefore differ ("0.0" against "0"), so callers keep each column's own
-    type.  Every block is checked before the file is opened.
+    previous block's: first the blocks given as arguments, then those of
+    stream, an iterable drawn only once the file is open, so a caller can
+    make its rows one block at a time and never hold them all.  Integers
+    print via str, floats as their shortest round-trip repr (float32 and
+    float16 through float()), bools as true/false and strings as they are;
+    a float and an integer column therefore differ ("0.0" against "0"), so
+    callers keep each column's own type.  The argument blocks are checked
+    before the file is opened, each stream block as it arrives; if a stream
+    block is rejected, or anything else raises while the file is written,
+    the partial file is removed.
 
     The rows are formatted CSV_CHUNK_ROWS at a time, with no Python code per
     row: integer columns become digits by arithmetic on the whole chunk,
@@ -76,22 +91,33 @@ def write_csv(path: Path, header: list[str], *blocks) -> None:
     and a mask of each cell's length drops the padding before the chunk is
     written.
     """
-    tables = [[np.asarray(column) for column in block] for block in blocks]
-    for arrays in tables:
-        if len(arrays) != len(header):
-            raise ValueError(f"{path}: a block has {len(arrays)} CSV columns "
-                             f"for {len(header)} header names")
-        for a in arrays:
-            if a.dtype.kind not in "biufU":
-                raise TypeError(f"{path}: cannot write a CSV column of dtype {a.dtype}")
-        if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
-            raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
+    tables = [_checked_block(path, header, block) for block in blocks]
     with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode("utf-8"))
-        for arrays in tables:
-            n_rows = len(arrays[0]) if arrays else 0
-            for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-                f.write(_csv_rows([a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]))
+        try:
+            f.write((",".join(header) + "\n").encode("utf-8"))
+            checked_stream = (_checked_block(path, header, block) for block in stream)
+            for arrays in itertools.chain(tables, checked_stream):
+                n_rows = len(arrays[0]) if arrays else 0
+                for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+                    f.write(_csv_rows([a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]))
+        except BaseException:
+            f.close()
+            path.unlink(missing_ok=True)
+            raise
+
+
+def _checked_block(path: Path, header: list[str], block) -> list[np.ndarray]:
+    """A block's columns as arrays, once their count, dtypes and shapes fit."""
+    arrays = [np.asarray(column) for column in block]
+    if len(arrays) != len(header):
+        raise ValueError(f"{path}: a block has {len(arrays)} CSV columns "
+                         f"for {len(header)} header names")
+    for a in arrays:
+        if a.dtype.kind not in "biufU":
+            raise TypeError(f"{path}: cannot write a CSV column of dtype {a.dtype}")
+    if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+        raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
+    return arrays
 
 
 def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
@@ -192,16 +218,22 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int, files: list[Path]) -> Path:
-    """Digest every produced file.  Deliberately carries no timestamps."""
+    """Digest every produced file, read MANIFEST_READ_BYTES at a time.
+    Deliberately carries no timestamps."""
     from . import __version__
 
     entries = []
     for f in sorted(files, key=lambda p: p.name):
-        data = f.read_bytes()
+        digest = hashlib.sha256()
+        size = 0
+        with open(f, "rb") as fh:
+            while data := fh.read(MANIFEST_READ_BYTES):
+                digest.update(data)
+                size += len(data)
         entries.append({
             "path": f.name,
-            "bytes": len(data),
-            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": size,
+            "sha256": digest.hexdigest(),
         })
     config_blob = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = out_dir / MANIFEST_NAME
@@ -465,7 +497,11 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
 
     Counts, the SiPM voltage roundtrip, the measured g2 and the contrast
     resolution between the settings land in one JSON report; every simulated
-    pulse is logged to records.csv.
+    pulse is logged to records.csv.  Pulses are drawn, read out, tallied and
+    written one block of session.BLOCK_PULSES at a time, so memory follows
+    the block, not the pulse count; the generator is positional, so the
+    block size never changes a byte.  A run rejected once records.csv is
+    written removes it, and the output directory if the run created it.
     """
     section = config["detector_check"]
     params = model_params_from(config)
@@ -473,8 +509,57 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     if pulses < 1:
         raise ConfigError("detector_check.pulses must be at least 1")
     attenuation = attenuation_from(section)
+    # Above this bound the per-record float sums behind g2 could round, and
+    # the exact tally would no longer reproduce them.
+    n_max = 2 * attenuation.max_photons
+    if pulses * n_max * (n_max - 1) >= 2**53:
+        raise ConfigError("detector_check.pulses x n_max(n_max-1) must stay below 2^53, "
+                          "with n_max = 2 x max_photons")
     t = float(section["t"])
     fld = field_components(t, section["lambda_nm"], params)
+    settings = [(0, THETA_SPLIT), (45, THETA_MIX)]
+    ports = [detected_intensities(fld, theta) for _, theta in settings]
+    tallies = [Counter() for _ in settings]
+    clamped = [0 for _ in settings]
+    roundtrip_ok = [0 for _ in settings]
+
+    def record_blocks():
+        block = session.BLOCK_PULSES
+        for idx, (theta_deg, _) in enumerate(settings):
+            i_h, i_v = ports[idx]
+            for a in range(0, pulses, block):
+                m = min(block, pulses - a)
+                start = idx * pulses + a
+                batch = draw_photon_counts(
+                    i_h, i_v, attenuation, seed,
+                    count=m, start=start, stream=STREAM_DETECTOR,
+                )
+                noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses + a, m)
+                volts_h = emulate_sipm(batch.n_h, noise_u=noise[1])
+                volts_v = emulate_sipm(batch.n_v, noise_u=noise[2])
+                roundtrip_ok[idx] += int(
+                    np.count_nonzero(invert_sipm(volts_h) == batch.n_h)
+                    + np.count_nonzero(invert_sipm(volts_v) == batch.n_v)
+                )
+                clamped[idx] += int(np.count_nonzero(batch.clamped))
+                tallies[idx].update(tally_pairs(batch.n_h, batch.n_v))
+                yield [np.arange(start, start + m), np.broadcast_to(t, m),
+                       np.broadcast_to(theta_deg, m), batch.n_h, batch.n_v]
+
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records_path = out_dir / "records.csv"
+    try:
+        write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"],
+                  stream=record_blocks())
+        stats = [contrast_from_tally(tally) for tally in tallies]
+        g2 = [g2_from_tally(tally) for tally in tallies]
+    except BaseException:
+        records_path.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
     payload = {
         "pulses": pulses,
@@ -483,46 +568,25 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         "config": dict(section),
         "settings": {},
     }
-    stats = {}
-    records = []
-    for idx, (theta_deg, theta) in enumerate(((0, THETA_SPLIT), (45, THETA_MIX))):
-        i_h, i_v = detected_intensities(fld, theta)
-        start = idx * pulses
-        batch = draw_photon_counts(
-            i_h, i_v, attenuation, seed,
-            count=pulses, start=start, stream=STREAM_DETECTOR,
-        )
-        noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses, pulses)
-        volts_h = emulate_sipm(batch.n_h, noise_u=noise[1])
-        volts_v = emulate_sipm(batch.n_v, noise_u=noise[2])
-        roundtrip_ok = int(
-            np.count_nonzero(invert_sipm(volts_h) == batch.n_h)
-            + np.count_nonzero(invert_sipm(volts_v) == batch.n_v)
-        )
-        stats[theta_deg] = accumulate_contrast(batch.n_h, batch.n_v)
-        setting_stats = stats[theta_deg].to_dict()
-        setting_stats["g2_measured"] = compute_g2(batch.n_h + batch.n_v)
+    for idx, (theta_deg, _) in enumerate(settings):
+        i_h, i_v = ports[idx]
+        setting_stats = stats[idx].to_dict()
+        setting_stats["g2_measured"] = g2[idx]
         payload["settings"][f"theta_{theta_deg}"] = {
             "theta_deg": theta_deg,
             "i_h": i_h,
             "i_v": i_v,
             "gamma": float(intensity_ratio(i_h, i_v)),
-            "clamped_pulses": int(batch.clamped.sum()),
-            "sipm_roundtrip_ok": roundtrip_ok,
+            "clamped_pulses": clamped[idx],
+            "sipm_roundtrip_ok": roundtrip_ok[idx],
             "sipm_roundtrip_total": 2 * pulses,
             "stats": setting_stats,
         }
-        records.append([np.arange(start, start + pulses), np.broadcast_to(t, pulses),
-                        np.broadcast_to(theta_deg, pulses), batch.n_h, batch.n_v])
-    sep = resolution(stats[0], stats[45])
+    sep = resolution(*stats)
     payload["resolution"] = {
         "value": sep.value if math.isfinite(sep.value) else None,
         "saturated": sep.saturated,
     }
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "detector_check.json"
     write_json(json_path, payload)
-    records_path = out_dir / "records.csv"
-    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"], *records)
     return [json_path, records_path]

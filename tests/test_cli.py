@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import read_csv, read_json, tree_bytes
+from fwmqkd import pipeline, session
+from fwmqkd.errors import ConfigError
 
 SMALL_MAP = {
     "contrast_map": {
@@ -328,6 +330,67 @@ class TestDetectorCheck:
             ]["value"]
         assert values[6400] > values[400]
 
+    # records.csv and detector_check.json digests captured before
+    # detector-check drew its pulses in blocks; at g2 = 2.5 and at
+    # max_photons = 1 some pulses clamp.
+    @pytest.mark.parametrize("block", [1, 3, 1000, 5000])
+    @pytest.mark.parametrize("section,digests", [
+        ({"pulses": 1000}, None),  # the golden digests at the end of this module
+        ({"pulses": 1000, "g2_target": 2.5}, {
+            "records.csv": "040bb1466e1bcb6323700b5b75274173ab5eb31479444a5766357cc6a30087ee",
+            "detector_check.json": "56cf09fb21d2c9470530fed12e58f7a7a632f6c8a75042df440e3321fcc86a95",
+        }),
+        ({"pulses": 1000, "max_photons": 1}, {
+            "records.csv": "9a2b5f98f593ce45933f48fe84040cc68266a1ee8ce8d27199bc4362ccf59ed4",
+            "detector_check.json": "776e2c4e9fd7e356518699adbe06056b8504a0bc691cb92ce9ef0ed08cb30664",
+        }),
+    ], ids=["default", "g2-2.5", "max-photons-1"])
+    def test_bytes_do_not_depend_on_the_block_size(self, run_cli, tmp_path, monkeypatch,
+                                                    block, section, digests):
+        if digests is None:
+            digests = {**DETECTOR_DIGESTS, "detector_check.json": DETECTOR_JSON_DIGEST}
+        monkeypatch.setattr(session, "BLOCK_PULSES", block)
+        cfg = _write_config(tmp_path / "c.json", {"detector_check": section})
+        assert run_cli("detector-check", "--config", cfg, "--out", "d") == 0
+        out = run_cli.cwd / "d"
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+    # No pulse sees a photon, which is known only once records.csv is written.
+    NO_PHOTONS = {"detector_check": {"mean_total_photons": 1e-320, "pulses": 100}}
+
+    def test_a_late_rejection_keeps_an_existing_directory_and_its_files(self, run_cli, tmp_path):
+        out = run_cli.cwd / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("unrelated")
+        cfg = _write_config(tmp_path / "c.json", self.NO_PHOTONS)
+        assert run_cli("detector-check", "--config", cfg, "--out", "out") == 2
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "unrelated"
+
+    def test_a_late_rejection_removes_every_directory_it_created(self, run_cli, tmp_path):
+        (run_cli.cwd / "a").mkdir()
+        cfg = _write_config(tmp_path / "c.json", self.NO_PHOTONS)
+        assert run_cli("detector-check", "--config", cfg, "--out", "a/b/c") == 2
+        assert list((run_cli.cwd / "a").iterdir()) == []
+
+    @pytest.mark.parametrize("pulses,rejected", [(2**52, True), (2**52 - 1, False)])
+    def test_the_pulse_count_stays_below_the_exact_g2_bound(self, run_cli, tmp_path, capsys,
+                                                            monkeypatch, pulses, rejected):
+        # n_max = 2 photons per pulse, so pulses x n_max(n_max - 1) reaches
+        # 2^53 at 2^52.  No run may draw that many: one that passes the
+        # check stops at its first write.
+        def stop(*args, **kwargs):
+            raise ConfigError("stopped at the first write")
+
+        monkeypatch.setattr(pipeline, "write_csv", stop)
+        cfg = _write_config(tmp_path / "c.json",
+                            {"detector_check": {"max_photons": 1, "pulses": pulses}})
+        assert run_cli("detector-check", "--config", cfg, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert ("2^53" in err, "first write" in err) == (rejected, not rejected)
+        assert not (run_cli.cwd / "out").exists()
+
 
 class TestGoldenDigests:
     """SHA-256 of every CSV table the CLI writes, at small sizes and the
@@ -511,3 +574,4 @@ RECONSTRUCTION_DIGESTS = {
 DETECTOR_DIGESTS = {
     "records.csv": "a12080936e9223c834562475036f5fe758ba8bb17b45ac6e40d8ad067a257284",
 }
+DETECTOR_JSON_DIGEST = "a949ae5c7ef2570249f72b69165b113cb84409b5a5fd40ebb1203de500c81030"

@@ -1,12 +1,15 @@
 """Gain mixing, per-port Poisson counts, contrast reduction, and the SiPM model."""
 
 import math
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fwmqkd._kernels import STREAM_SESSION
 from fwmqkd.errors import DegenerateInputError, ParameterError
@@ -16,11 +19,14 @@ from fwmqkd.photons import (
     Resolution,
     accumulate_contrast,
     compute_g2,
+    contrast_from_tally,
     draw_photon_counts,
     emulate_sipm,
+    g2_from_tally,
     gain_from_uniform,
     invert_sipm,
     resolution,
+    tally_pairs,
 )
 
 
@@ -214,6 +220,86 @@ class TestAccumulateContrast:
             accumulate_contrast(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
         with pytest.raises(ParameterError):
             accumulate_contrast(np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))
+
+
+def _reference_contrast(n_h, n_v) -> ContrastStats:
+    """The per-record reduction the pair tally replaced, kept as the oracle."""
+    n_h = np.asarray(n_h, dtype=np.int64)
+    n_v = np.asarray(n_v, dtype=np.int64)
+    totals = n_h + n_v
+    mask = totals > 0
+    m_used = int(np.count_nonzero(mask))
+    total_h = int(n_h.sum())
+    total_v = int(n_v.sum())
+    pooled = total_h + total_v
+    if pooled == 0:
+        raise DegenerateInputError("no photons in any record, contrast is undefined")
+    p_k = (n_h[mask] - n_v[mask]) / totals[mask]
+    p_bar = math.fsum(p_k.tolist()) / m_used
+    if m_used < 2:
+        sigma = 0.0
+    else:
+        residual = math.fsum(((p_k - p_bar) ** 2).tolist())
+        sigma = math.sqrt(residual / (m_used * (m_used - 1)))
+    return ContrastStats(p_bar, (total_h - total_v) / pooled, sigma, int(n_h.size), m_used,
+                         total_h, total_v)
+
+
+def _reference_g2(total_counts) -> float:
+    """The per-record float mean the integer sums replaced, kept as the oracle."""
+    n = np.asarray(total_counts, dtype=np.float64)
+    mean = n.mean()
+    if mean == 0.0:
+        raise DegenerateInputError("no photons recorded, g2 is undefined")
+    return float((n * (n - 1.0)).mean() / (mean * mean))
+
+
+@st.composite
+def _split_records(draw):
+    """Port counts up to max_photons, cut into blocks (repeated cuts give
+    empty blocks): mixed records, all-dark records, or one used record."""
+    max_photons = draw(st.one_of(st.sampled_from([1, 5, 100]), st.integers(1, 100)))
+    n = draw(st.integers(1, 300))
+    counts = hnp.arrays(np.int64, n, elements=st.integers(0, max_photons))
+    n_h, n_v = draw(counts), draw(counts)
+    kind = draw(st.sampled_from(["mixed", "dark", "one-used"]))
+    if kind != "mixed":
+        n_h[:] = n_v[:] = 0
+    if kind == "one-used":
+        i = draw(st.integers(0, n - 1))
+        n_h[i] = draw(st.integers(0, max_photons))
+        n_v[i] = draw(st.integers(1 if n_h[i] == 0 else 0, max_photons))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return n_h, n_v, cuts
+
+
+@settings(max_examples=300)
+@given(_split_records())
+def test_merged_block_tallies_match_the_per_record_reduction(records):
+    n_h, n_v, cuts = records
+    tally = Counter()
+    for h, v in zip(np.split(n_h, cuts), np.split(n_v, cuts)):
+        tally.update(tally_pairs(h, v))
+    if not (n_h + n_v).any():
+        for reduce in (lambda: contrast_from_tally(tally), lambda: g2_from_tally(tally),
+                       lambda: accumulate_contrast(n_h, n_v), lambda: compute_g2(n_h + n_v)):
+            with pytest.raises(DegenerateInputError):
+                reduce()
+        return
+    # repr tells every float apart bit for bit, -0.0 from 0.0 included
+    expected = list(map(repr, astuple(_reference_contrast(n_h, n_v))))
+    assert list(map(repr, astuple(contrast_from_tally(tally)))) == expected
+    assert list(map(repr, astuple(accumulate_contrast(n_h, n_v)))) == expected
+    g2 = repr(_reference_g2(n_h + n_v))
+    assert repr(g2_from_tally(tally)) == g2
+    assert repr(compute_g2(n_h + n_v)) == g2
+
+
+def test_tallies_of_large_counts_keep_every_pair():
+    # a key range past int64 falls back to counting the pairs one by one
+    n_h = np.array([-(2**62), 2**62, 5, 5])
+    n_v = np.array([0, 2**62, 1, 1])
+    assert tally_pairs(n_h, n_v) == Counter({(-(2**62), 0): 1, (2**62, 2**62): 1, (5, 1): 2})
 
 
 def _stats(p_bar, sigma):

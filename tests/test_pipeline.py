@@ -1,6 +1,8 @@
 """The column-wise CSV writer against the row-wise writer it replaced."""
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fwmqkd import pipeline
+from fwmqkd import pipeline, session
+from fwmqkd.config import load_config
 from fwmqkd.pipeline import write_csv
 
 
@@ -148,6 +151,49 @@ def test_a_header_without_blocks_gives_the_header_line_only(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
 
+def test_a_stream_continues_the_argument_blocks(tmp_path):
+    blocks = [[np.arange(3), np.array([0.5, -0.0, 2.0])], [np.arange(2), np.array([1.0, 7.0])]]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "x"], blocks[0], stream=iter(blocks[1:]))
+    assert path.read_bytes() == _reference_csv(["i", "x"], itertools.chain(*(zip(*b) for b in blocks)))
+
+
+def test_a_stream_is_drawn_only_once_the_file_is_open(tmp_path):
+    path = tmp_path / "t.csv"
+
+    def stream():
+        assert path.exists()
+        yield [np.arange(2)]
+
+    write_csv(path, ["i"], stream=stream())
+    assert path.read_bytes() == b"i\n0\n1\n"
+
+
+@pytest.mark.parametrize("late", [
+    [np.arange(3)],
+    [np.arange(3), np.array([1 + 2j, 3j, 0j])],
+], ids=["wrong-column-count", "wrong-dtype"])
+def test_a_rejected_stream_block_removes_the_partial_file(tmp_path, late):
+    path = tmp_path / "t.csv"
+    n = pipeline.CSV_CHUNK_ROWS + 1  # a whole chunk is written before the late block
+    good = [np.arange(n), np.arange(n)]
+    with pytest.raises((ValueError, TypeError)):
+        write_csv(path, ["a", "b"], stream=iter([good, late]))
+    assert not path.exists()
+
+
+def test_a_raising_stream_removes_the_partial_file(tmp_path):
+    path = tmp_path / "t.csv"
+
+    def stream():
+        yield [np.arange(3), np.arange(3)]
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_csv(path, ["a", "b"], stream=stream())
+    assert not path.exists()
+
+
 def test_long_double_prints_as_its_nearest_double(tmp_path):
     values = np.array([0.1, -0.0, 1e300], dtype=np.longdouble)
     assert _written(tmp_path, ["x"], [values]) == _reference_csv(["x"], zip(values))
@@ -192,3 +238,35 @@ def test_memory_follows_the_chunk_not_the_row_count(tmp_path):
     row_width = path.stat().st_size / n
     assert n >= 16 * pipeline.CSV_CHUNK_ROWS
     assert peak < 8 * pipeline.CSV_CHUNK_ROWS * row_width
+
+
+def _detector_config(pulses):
+    config = load_config(None)
+    config["detector_check"]["pulses"] = pulses
+    return config
+
+
+def test_detector_check_memory_follows_the_block_not_the_pulse_count(tmp_path):
+    peaks = []
+    for blocks in (2, 16):
+        config = _detector_config(blocks * session.BLOCK_PULSES)
+        tracemalloc.start()
+        try:
+            pipeline.run_detector_check(config, 20260814, tmp_path / f"d{blocks}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # a block of records costs about 107 B per pulse at its peak, so the
+    # 28 more blocks of the larger run would add 200 MiB if they were kept
+    assert abs(peaks[1] - peaks[0]) < 112 * session.BLOCK_PULSES
+
+
+def test_manifest_digests_do_not_depend_on_the_read_size(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    files = pipeline.run_detector_check(_detector_config(3000), 20260814, out)
+    whole = {f.name: (f.stat().st_size, hashlib.sha256(f.read_bytes()).hexdigest())
+             for f in files}
+    monkeypatch.setattr(pipeline, "MANIFEST_READ_BYTES", 7)
+    manifest = json.loads(pipeline.write_manifest(out, "detector-check", {}, 1, files).read_text())
+    assert {e["path"]: (e["bytes"], e["sha256"]) for e in manifest["outputs"]} == whole
