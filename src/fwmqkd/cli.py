@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file overriding the defaults")
         p.add_argument("--seed", type=lambda s: int(s, 0), help="random seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="accepted and ignored; the search runs in one thread")
         return p
 
     add("spectra", "tabulate complex signal spectra per delay and tensor condition")
@@ -73,9 +72,6 @@ def _dispatch(args) -> int:
 
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
-    threads = args.threads if args.threads is not None else int(config["threads"])
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     out_dir = resolve_output_dir(args.out, config, args.command)
 
     if args.command == "spectra":
@@ -83,7 +79,7 @@ def _dispatch(args) -> int:
     elif args.command == "contrast-map":
         files = run_contrast_map(config, out_dir)
     elif args.command == "reconstruct":
-        files = run_reconstruct(config, out_dir, input_path=args.input, threads=threads)
+        files = run_reconstruct(config, out_dir, input_path=args.input)
     elif args.command == "qkd":
         files = run_qkd(config, seed, out_dir)
     else:

@@ -35,7 +35,6 @@ CHANNEL_PRESETS = {
 
 DEFAULTS: dict = {
     "seed": 20260814,
-    "threads": 1,
     "output_dir": None,
     "model": {
         "delta": 1.0,

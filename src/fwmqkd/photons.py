@@ -69,14 +69,11 @@ def gain_from_uniform(u, g2: float):
 
 @dataclass(frozen=True)
 class DetectionBatch:
-    """Counts and bookkeeping for a contiguous run of pulses."""
+    """Port counts of a contiguous run of pulses, and where either clamped."""
 
     n_h: np.ndarray
     n_v: np.ndarray
     clamped: np.ndarray
-    gain: np.ndarray
-    delay_bits: np.ndarray
-    basis_bits: np.ndarray
 
 
 def draw_photon_counts(
@@ -90,10 +87,7 @@ def draw_photon_counts(
 ) -> DetectionBatch:
     """Draw per-pulse photon counts for both ports.
 
-    i_h and i_v may be scalars or per-pulse arrays of length count.  The two
-    raw bits that ride along with each pulse's uniforms are returned so a
-    caller can use them for random pulse settings without a second pass over
-    the generator.
+    i_h and i_v may be scalars or per-pulse arrays of length count.
     """
     if count < 0:
         raise ParameterError("count must be non-negative")
@@ -105,18 +99,17 @@ def draw_photon_counts(
     if np.any(total <= 0):
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
 
-    u_gain, u_h, u_v, delay_bits, basis_bits = pulse_randoms(seed, stream, start, count)
-    gain, n_h, n_v, clamped = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config)
-    return DetectionBatch(n_h, n_v, clamped, gain, delay_bits, basis_bits)
+    u_gain, u_h, u_v, _, _ = pulse_randoms(seed, stream, start, count)
+    return DetectionBatch(*counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config))
 
 
 def counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config: AttenuationConfig):
-    """Map one batch of pulse uniforms to gains and clamped port counts.
+    """Map one batch of pulse uniforms to clamped port counts.
 
     Each port's Poisson mean is the gain times its share of the photon
     budget, gain * (mean * (i / (i_h + i_v))), evaluated in that order.
     i_h and i_v are scalars or per-pulse arrays with a positive sum.
-    Returns (gain, n_h, n_v, clamped), clamped where either port clamped.
+    Returns (n_h, n_v, clamped), clamped where either port clamped.
     """
     gain = gain_from_uniform(u_gain, config.g2_target)
     total = i_h + i_v
@@ -124,7 +117,7 @@ def counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config: AttenuationConfig):
     lam_v = gain * (config.mean_total_photons * (i_v / total))
     n_h, clamped_h = poisson_counts(u_h, lam_h, config.max_photons)
     n_v, clamped_v = poisson_counts(u_v, lam_v, config.max_photons)
-    return gain, n_h, n_v, clamped_h | clamped_v
+    return n_h, n_v, clamped_h | clamped_v
 
 
 def compute_g2(total_counts) -> float:

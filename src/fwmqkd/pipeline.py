@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -69,20 +68,18 @@ def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     return base / f"fwmqkd_{command.replace('-', '_')}"
 
 
-def write_csv(path: Path, header: list[str], *blocks, stream: Iterable = ()) -> None:
+def write_csv(path: Path, header: list[str], blocks: Iterable) -> None:
     """Write blocks of equal-length columns as the rows of one CSV table.
 
     Each block holds one column per header name, and its rows follow the
-    previous block's: first the blocks given as arguments, then those of
-    stream, an iterable drawn only once the file is open, so a caller can
-    make its rows one block at a time and never hold them all.  Integers
-    print via str, floats as their shortest round-trip repr (float32 and
-    float16 through float()), bools as true/false and strings as they are;
-    a float and an integer column therefore differ ("0.0" against "0"), so
-    callers keep each column's own type.  The argument blocks are checked
-    before the file is opened, each stream block as it arrives; if a stream
-    block is rejected, or anything else raises while the file is written,
-    the partial file is removed.
+    previous block's.  blocks is drawn only once the file is open, so a
+    caller can make its rows one block at a time and never hold them all.
+    Integers print via str, floats as their shortest round-trip repr
+    (float32 and float16 through float()), bools as true/false and strings
+    as they are; a float and an integer column therefore differ ("0.0"
+    against "0"), so callers keep each column's own type.  Each block is
+    checked as it arrives; if one is rejected, or anything else raises while
+    the file is written, the partial file is removed.
 
     The rows are formatted CSV_CHUNK_ROWS at a time, with no Python code per
     row: integer columns become digits by arithmetic on the whole chunk,
@@ -91,12 +88,11 @@ def write_csv(path: Path, header: list[str], *blocks, stream: Iterable = ()) -> 
     and a mask of each cell's length drops the padding before the chunk is
     written.
     """
-    tables = [_checked_block(path, header, block) for block in blocks]
     with open(path, "wb") as f:
         try:
             f.write((",".join(header) + "\n").encode("utf-8"))
-            checked_stream = (_checked_block(path, header, block) for block in stream)
-            for arrays in itertools.chain(tables, checked_stream):
+            for block in blocks:
+                arrays = _checked_block(path, header, block)
                 n_rows = len(arrays[0]) if arrays else 0
                 for lo in range(0, n_rows, CSV_CHUNK_ROWS):
                     f.write(_csv_rows([a[lo:lo + CSV_CHUNK_ROWS] for a in arrays]))
@@ -294,11 +290,8 @@ def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     for name, (t, cond) in tables.items():
         s = signal_spectrum(t, energies, cond, params)
         path = out_dir / name
-        write_csv(
-            path,
-            ["E_det", "Re", "Im", "intensity"],
-            [energies, s.real, s.imag, np.abs(s) ** 2],
-        )
+        write_csv(path, ["E_det", "Re", "Im", "intensity"],
+                  [[energies, s.real, s.imag, np.abs(s) ** 2]])
         files.append(path)
     return files
 
@@ -330,19 +323,19 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     map_path = out_dir / "contrast_map.csv"
-    write_csv(map_path, ["T_fs", "lambda_nm", "theta_deg", "P"], [
+    write_csv(map_path, ["T_fs", "lambda_nm", "theta_deg", "P"], [[
         np.repeat(t_list, 2 * n),
         np.tile(lams, 2 * n_t),
         np.tile(np.repeat([0, 45], n), n_t),
         np.concatenate(contrasts),
-    ])
+    ]])
     ratio_path = out_dir / "ratios.csv"
-    write_csv(ratio_path, RATIO_COLUMNS, [
+    write_csv(ratio_path, RATIO_COLUMNS, [[
         np.repeat(t_list, n),
         np.tile(lams, n_t),
         np.concatenate(gammas[0::2]),
         np.concatenate(gammas[1::2]),
-    ])
+    ]])
     return [map_path, ratio_path]
 
 
@@ -378,8 +371,7 @@ def _read_ratio_csv(path: Path) -> list[tuple[float, float, float, float]]:
     return rows
 
 
-def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
-                    threads: int = 1) -> list[Path]:
+def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) -> list[Path]:
     """Invert a measured ratio table into a field map over its (T, lambda) grid.
 
     The input grid is rebuilt from the distinct T and lambda values present;
@@ -409,8 +401,7 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
     ]
     grid = grid_spec_from(config)
     pairs = np.asarray([cell[k] for k in live_keys], dtype=np.float64)
-    results = dict(zip(live_keys, reconstruct_map(pairs, grid, threads=threads)
-                       if live_keys else []))
+    results = dict(zip(live_keys, reconstruct_map(pairs, grid) if live_keys else []))
 
     out_rows = []
     ports = []
@@ -436,11 +427,8 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"
-    write_csv(
-        csv_path,
-        ["T_fs", "lambda_nm", "A_H", "A_V", "phi", "SE", "degenerate"],
-        list(zip(*out_rows)),
-    )
+    write_csv(csv_path, ["T_fs", "lambda_nm", "A_H", "A_V", "phi", "SE", "degenerate"],
+              [list(zip(*out_rows))])
     residual_path = out_dir / "residuals.json"
     write_json(residual_path, {
         "cells_total": len(keys),
@@ -462,18 +450,18 @@ def run_qkd(config: dict, seed: int, out_dir: Path) -> list[Path]:
     """Full session: report JSON, per-bit decode trajectory, decoded snapshots."""
     session_config = session_config_from(config, seed)
     report = run_session(session_config)
-    traj = report.trajectory
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "qkd_report.json"
     write_json(report_path, report.to_dict())
 
+    # One row per slot and budget at which the slot's decode state changes,
+    # each marked with whether its estimate matches the slot's bit.
     traj_path = out_dir / "trajectory.csv"
-    write_csv(
-        traj_path,
-        ["bit_index", "photons", "contrast", "estimate", "correct"],
-        _per_bit_columns(traj, report.bits),
-    )
+    bits = report.bits
+    write_csv(traj_path, ["bit_index", "photons", "contrast", "estimate", "correct"],
+              ([slot, photons, contrast, estimate, estimate == bits[slot]]
+               for slot, _, photons, contrast, estimate in report.trajectory.change_rows()))
 
     snap_path = out_dir / "snapshots.txt"
     snap_lines = [
@@ -482,14 +470,6 @@ def run_qkd(config: dict, seed: int, out_dir: Path) -> list[Path]:
     ]
     snap_path.write_text("\n".join(snap_lines) + "\n", encoding="utf-8", newline="\n")
     return [report_path, traj_path, snap_path]
-
-
-def _per_bit_columns(traj, bits):
-    """Per-slot decode history: the trajectory's state-change rows, each
-    marked with whether its estimate matches the slot's bit."""
-    est = traj.change_estimate
-    return [traj.change_slot, traj.change_photons, traj.change_contrast, est,
-            est == bits[traj.change_slot]]
 
 
 def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
@@ -551,7 +531,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     records_path = out_dir / "records.csv"
     try:
         write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"],
-                  stream=record_blocks())
+                  record_blocks())
         stats = [contrast_from_tally(tally) for tally in tallies]
         g2 = [g2_from_tally(tally) for tally in tallies]
     except BaseException:

@@ -156,17 +156,11 @@ def reconstruct_field(gamma_0: float, gamma_45: float, grid: GridSpec = DEFAULT_
     return reconstruct_map([(gamma_0, gamma_45)], grid)[0]
 
 
-def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID, threads: int = 1) -> list[ReconstructionResult]:
-    """Reconstruct a batch of ratio pairs in one search, results in input order.
-
-    threads is accepted for compatibility and ignored: the search is one
-    vectorized pass, so there is no work to spread across threads.
-    """
+def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> list[ReconstructionResult]:
+    """Reconstruct a batch of ratio pairs in one search, results in input order."""
     pairs = np.asarray(ratio_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ParameterError("expected an (n, 2) array of ratio pairs")
-    if threads < 1:
-        raise ParameterError("threads must be at least 1")
     not_finite = ~np.isfinite(pairs).all(axis=1)
     bad = not_finite | (pairs < 0).any(axis=1)
     if bad.any():

@@ -179,7 +179,7 @@ def _draw_batch(config: SessionConfig, channel: ChannelModel, start: int, count:
     index.
     """
     u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
-    _, n_h, n_v, clamped = counts_from_uniforms(
+    n_h, n_v, clamped = counts_from_uniforms(
         u_gain, u_h, u_v, channel.itable[alice, basis, 0], channel.itable[alice, basis, 1],
         config.attenuation,
     )
@@ -203,22 +203,31 @@ def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
     if threshold_mode not in THRESHOLD_MODES:
         raise ParameterError(f"threshold_mode must be one of {THRESHOLD_MODES}")
     p = np.atleast_2d(np.asarray(p_cum, dtype=np.float64))
-    decided = np.isfinite(p)
+    threshold, midpoint = _row_thresholds(p, channel, threshold_mode)
+    return _compare(p, threshold[:, None], channel.orientation), midpoint
+
+
+def _row_thresholds(p: np.ndarray, channel: ChannelModel, threshold_mode: str):
+    """Each row's decode threshold, and whether it is the calibrated midpoint."""
     if threshold_mode == "fixed":
-        midpoint = np.ones(p.shape[0], dtype=bool)
-        threshold = np.full(p.shape[0], channel.fixed_threshold)
-    else:
-        n_dec = decided.sum(axis=1)
-        mean = np.where(decided, p, 0.0).sum(axis=1) / np.maximum(n_dec, 1)
-        p_max = np.where(decided, p, -np.inf).max(axis=1)
-        p_min = np.where(decided, p, np.inf).min(axis=1)
-        spread = np.where(n_dec > 0, p_max - p_min, 0.0)
-        midpoint = spread < 0.5 * abs(channel.gap)
-        threshold = np.where(midpoint, channel.fixed_threshold, mean)
-    score = channel.orientation * (p - threshold[:, None])
+        return np.full(p.shape[0], channel.fixed_threshold), np.ones(p.shape[0], dtype=bool)
+    decided = np.isfinite(p)
+    n_dec = decided.sum(axis=1)
+    mean = np.where(decided, p, 0.0).sum(axis=1) / np.maximum(n_dec, 1)
+    p_max = np.where(decided, p, -np.inf).max(axis=1)
+    p_min = np.where(decided, p, np.inf).min(axis=1)
+    spread = np.where(n_dec > 0, p_max - p_min, 0.0)
+    midpoint = spread < 0.5 * abs(channel.gap)
+    return np.where(midpoint, channel.fixed_threshold, mean), midpoint
+
+
+def _compare(p: np.ndarray, threshold, orientation: float) -> np.ndarray:
+    """Bits of contrasts p against a threshold broadcast to them: 1 or 0 by
+    the oriented side, -1 on the threshold or where p is not finite."""
+    score = orientation * (p - threshold)
     bits = np.where(score > 0, 1, np.where(score < 0, 0, -1)).astype(np.int64)
-    bits[~decided] = -1
-    return bits, midpoint
+    bits[~np.isfinite(p)] = -1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -231,13 +240,14 @@ class Trajectory:
     detected photon in the slot's pulse train up to the same point, sifted or
     not, since it is ambiguous which of the two a photons-per-bit axis should
     count.  used_midpoint says, per budget value, whether the decoder used
-    the calibrated midpoint rather than the running mean as its threshold.
+    the calibrated midpoint rather than the running mean as its threshold,
+    and threshold is the value it compared against.  snapshot_estimate holds
+    the decoded bits at each snapshot_budget, one row per milestone.
 
-    The change_* columns hold one row per slot and budget value at which the
-    slot's retained photons, pooled contrast (NaN before its first photon) or
-    decoded estimate differs from the budget before; every slot has a row at
-    budget 0.  Rows run by slot, then budget.  snapshot_estimate holds the
-    decoded bits at each snapshot_budget, one row per milestone.
+    events holds what change_rows reads: where each slot's events start (one
+    offset per slot, then the event count) and the retained H and V running
+    totals at each event.  orientation is the channel's, which side of the
+    threshold reads as 1.
     """
 
     budget: np.ndarray
@@ -246,13 +256,11 @@ class Trajectory:
     accuracy: np.ndarray
     undecided: np.ndarray
     used_midpoint: np.ndarray
-    change_slot: np.ndarray
-    change_budget: np.ndarray
-    change_photons: np.ndarray
-    change_contrast: np.ndarray
-    change_estimate: np.ndarray
+    threshold: np.ndarray
     snapshot_budget: np.ndarray
     snapshot_estimate: np.ndarray
+    orientation: float = field(compare=False)
+    events: tuple = field(repr=False, compare=False)
 
     def curve_rows(self) -> list[dict]:
         return [
@@ -267,6 +275,45 @@ class Trajectory:
             for b, r, ap, a, u, m in zip(self.budget, self.retained_mean, self.all_photons_mean,
                                          self.accuracy, self.undecided, self.used_midpoint)
         ]
+
+    def change_rows(self):
+        """Yield the per-slot decode history as blocks of (slot, budget,
+        photons, contrast, estimate) columns.
+
+        A slot has a row at budget 0 and at every budget where its retained
+        photons, pooled contrast (NaN before its first photon) or decoded
+        estimate differs from the budget before; rows run by slot, then
+        budget.  A slot's photons and contrast change exactly at its events,
+        and its estimate depends only on its own contrast and the budget's
+        threshold, so each block of max(1, TRAJECTORY_CHUNK_CELLS // budget
+        rows) slots is forward-filled from its own events and decided
+        against the stored thresholds, the same compare as the budget pass.
+        """
+        start, ev_h, ev_v = self.events
+        n_rows = self.budget.size
+        n_block = max(1, TRAJECTORY_CHUNK_CELLS // n_rows)
+        for first in range(0, start.size - 1, n_block):
+            last = min(first + n_block, start.size - 1)
+            h, v = ev_h[start[first]:start[last]], ev_v[start[first]:start[last]]
+            counts = np.diff(start[first:last + 1])
+            ct = h + v
+            # Entry 0 stands for a slot with no event yet.
+            photons = np.concatenate((np.zeros(1, ct.dtype), ct))
+            contrast = np.concatenate(([np.nan], (h - v) / ct))
+            # Cell (s, r) indexes slot s's last event with retained total <= r.
+            idx = np.zeros((counts.size, n_rows), dtype=np.intp)
+            np.put(idx, np.repeat(np.arange(counts.size) * n_rows, counts) + ct,
+                   np.arange(1, ct.size + 1))
+            np.maximum.accumulate(idx, axis=1, out=idx)
+            p = contrast[idx]
+            estimate = _compare(p, self.threshold, self.orientation)
+            changed = np.empty(idx.shape, dtype=bool)
+            changed[:, 0] = True
+            np.not_equal(idx[:, 1:], idx[:, :-1], out=changed[:, 1:])
+            changed[:, 1:] |= estimate[:, 1:] != estimate[:, :-1]
+            slot, budget = np.nonzero(changed)
+            yield ((slot + first).astype(np.int32), budget, photons[idx[slot, budget]],
+                   p[slot, budget], estimate[slot, budget].astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -451,19 +498,17 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     and V running totals and its all-photon running count at every sifted
     pulse that produced a photon.  The build joins them and empties the
     list, so that it holds the only references to the event arrays and
-    frees each one once it is merged or no longer read.  Row r of the
-    budget x slot state points each slot at its last event with retained
-    total ct <= r.  A chunk starts from the previous chunk's last row,
-    scatters the events whose ct falls inside it at row ct and carries them
-    down with a running maximum; this is exact because ct strictly
-    increases within a slot.  Rows decode independently, so decoding chunk
-    by chunk gives the same bits as decoding the whole matrix.
+    frees those the trajectory does not keep.  Row r of the budget x slot
+    state points each slot at its last event with retained total ct <= r.
+    A chunk starts from the previous chunk's last row, scatters the events
+    whose ct falls inside it at row ct and carries them down with a running
+    maximum; this is exact because ct strictly increases within a slot.
+    Rows decode independently, so decoding chunk by chunk gives the same
+    bits as decoding the whole matrix.
 
-    Only the per-budget curves, the snapshot rows and the state-change rows
-    are kept.  A slot's photons and contrast change exactly at its events,
-    so the change rows are the event rows plus the estimate flips that come
-    without a photon (among them every slot's row at budget 0); each flip is
-    inserted among the events at its place in (slot, budget) order.
+    Only the per-budget curves and thresholds, the snapshot rows and the
+    retained H and V totals of the events are kept; Trajectory.change_rows
+    rebuilds the per-slot history from them when it is asked for.
     """
     ev_slot, ev_ch, ev_cv, ev_all = (np.concatenate(parts) for parts in zip(*events))
     events.clear()
@@ -479,7 +524,6 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     n_chunks = -(-n_rows // rows_per_chunk)
     chunk_start = np.concatenate(([0], np.cumsum(np.bincount(chunk_of, minlength=n_chunks))))
     del chunk_of
-    slot_start = np.searchsorted(ev_slot, np.arange(n_slots))
     marks = np.array(sorted({b for b in SNAPSHOT_BUDGETS if b < n_rows} | {n_rows - 1}))
 
     retained = np.empty(n_rows)
@@ -487,22 +531,16 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     accuracy = np.empty(n_rows)
     undecided = np.empty(n_rows, dtype=np.int64)
     used_midpoint = np.empty(n_rows, dtype=bool)
+    threshold = np.empty(n_rows)
     snapshot_estimate = np.empty((marks.size, n_slots), dtype=np.int8)
-    ev_contrast = np.empty(ct.size)
-    ev_estimate = np.empty(ct.size, dtype=np.int8)
-    flips = []
     last_idx = np.full(n_slots, -1, dtype=np.intp)
-    # No estimate equals -2, so every slot's budget-0 row counts as a change.
-    last_est = np.full(n_slots, -2, dtype=np.int64)
 
     for k in range(n_chunks):
         lo, hi = k * rows_per_chunk, min((k + 1) * rows_per_chunk, n_rows)
         ev = order[chunk_start[k]:chunk_start[k + 1]]
-        # Flat index of each event's cell in the chunk.
-        cell = (ct[ev] - lo) * n_slots + ev_slot[ev]
         idx = np.full((hi - lo, n_slots), -1, dtype=np.intp)
         idx[0] = last_idx
-        np.put(idx, cell, ev)
+        np.put(idx, (ct[ev] - lo) * n_slots + ev_slot[ev], ev)
         np.maximum.accumulate(idx, axis=0, out=idx)
         seen = idx >= 0
         hit = idx[seen]
@@ -511,7 +549,8 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         t_mat = h_mat + v_mat
         with np.errstate(invalid="ignore"):
             p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-        decoded, used_midpoint[lo:hi] = decode_matrix(p_mat, channel, threshold_mode)
+        threshold[lo:hi], used_midpoint[lo:hi] = _row_thresholds(p_mat, channel, threshold_mode)
+        decoded = _compare(p_mat, threshold[lo:hi, None], channel.orientation)
 
         retained[lo:hi] = t_mat.mean(axis=1)
         all_photons[lo:hi] = _filled(ev_all[hit], seen).mean(axis=1)
@@ -519,45 +558,14 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         undecided[lo:hi] = (decoded < 0).sum(axis=1)
         in_chunk = (marks >= lo) & (marks < hi)
         snapshot_estimate[in_chunk] = decoded[marks[in_chunk] - lo]
-
-        ev_contrast[ev] = np.take(p_mat, cell)
-        ev_estimate[ev] = np.take(decoded, cell)
-        flip = np.empty(decoded.shape, dtype=bool)
-        np.not_equal(decoded[0], last_est, out=flip[0])
-        np.not_equal(decoded[1:], decoded[:-1], out=flip[1:])
-        np.put(flip, cell, False)
-        row, col = np.nonzero(flip)
-        # Events of the slot up to this row come before the flip.
-        before = np.maximum(idx[row, col] + 1, slot_start[col])
-        flips.append((col, row + lo, t_mat[row, col], p_mat[row, col], decoded[row, col], before))
-        last_idx, last_est = idx[-1], decoded[-1]
-    del order, ev_ch, ev_cv, ev_all
-
-    f_slot, f_budget, f_photons, f_contrast, f_estimate, f_before = (
-        np.concatenate(parts) for parts in zip(*flips))
-    # Each flip goes in before event f_before, the slot's first past its row;
-    # np.insert keeps flips at one position in their (slot, budget) order.
-    by_slot = np.lexsort((f_budget, f_slot))
-
-    def merged(ev_values, flip_values):
-        return np.insert(ev_values, f_before[by_slot], flip_values[by_slot])
-
-    # Each event array goes as soon as its merged rows exist.
-    change_contrast = merged(ev_contrast, f_contrast)
-    del ev_contrast
-    change_estimate = merged(ev_estimate, f_estimate)
-    del ev_estimate
-    change_slot = merged(ev_slot.astype(np.int32, copy=False), f_slot)
-    del ev_slot
+        last_idx = idx[-1]
+    slot_start = np.searchsorted(ev_slot, np.arange(n_slots + 1))
     return Trajectory(
-        budgets, retained, all_photons, accuracy, undecided, used_midpoint,
-        change_slot=change_slot,
-        change_budget=merged(ct, f_budget),
-        change_photons=merged(ct, f_photons),
-        change_contrast=change_contrast,
-        change_estimate=change_estimate,
+        budgets, retained, all_photons, accuracy, undecided, used_midpoint, threshold,
         snapshot_budget=marks,
         snapshot_estimate=snapshot_estimate,
+        orientation=channel.orientation,
+        events=(slot_start, ev_ch, ev_cv),
     )
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,21 +126,11 @@ class TestContrastMap:
 
 
 class TestReconstruct:
-    def _chain(self, run_cli, tmp_path, threads="1"):
+    def _chain(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", SMALL_MAP)
         assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 0
-        assert (
-            run_cli(
-                "reconstruct",
-                "--input",
-                str(run_cli.cwd / "m" / "ratios.csv"),
-                "--out",
-                "r",
-                "--threads",
-                threads,
-            )
-            == 0
-        )
+        assert run_cli("reconstruct", "--input", str(run_cli.cwd / "m" / "ratios.csv"),
+                       "--out", "r") == 0
         return run_cli.cwd / "r"
 
     def test_full_chain_reconstructs_every_cell(self, run_cli, tmp_path):
@@ -164,17 +153,6 @@ class TestReconstruct:
         assert float(early[2]) > float(early[3])  # A_H dominates at zero delay
         late = by_key[("1500.0", "500.0")]
         assert float(late[2]) < 0.01  # cross field has decayed away
-
-    def test_thread_count_does_not_change_bytes(self, run_cli, tmp_path):
-        serial = self._chain(run_cli, tmp_path, threads="1").joinpath(
-            "reconstruction.csv"
-        ).read_bytes()
-        threaded = (
-            Path(str(self._chain(run_cli, tmp_path, threads="3")))
-            .joinpath("reconstruction.csv")
-            .read_bytes()
-        )
-        assert serial == threaded
 
     def test_unusable_rows_become_gap_cells(self, run_cli, tmp_path):
         src = tmp_path / "ratios.csv"
@@ -532,8 +510,13 @@ class TestCommonBehavior:
         assert err.count("\n") == 1 and "seed" in err
         assert not (run_cli.cwd / "d").exists()
 
-    def test_zero_threads_is_rejected(self, run_cli):
-        assert run_cli("spectra", "--out", "s", "--threads", "0") == 2
+    def test_a_config_setting_threads_is_rejected_as_an_unknown_key(self, run_cli, capsys, tmp_path):
+        # threads is no config key, so it is rejected like any unknown key.
+        cfg = _write_config(tmp_path / "threads.json", {"threads": 1})
+        assert run_cli("spectra", "--config", cfg, "--out", "s") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "threads" in err
+        assert not (run_cli.cwd / "s").exists()
 
     def test_backend_note_is_printed(self, run_cli, capsys):
         from fwmqkd import BACKEND

@@ -97,7 +97,7 @@ class TestDrawPhotonCounts:
         tail = draw_photon_counts(0.4, 0.6, cfg, seed=77, count=80, start=120)
         np.testing.assert_array_equal(whole.n_h, np.concatenate([head.n_h, tail.n_h]))
         np.testing.assert_array_equal(whole.n_v, np.concatenate([head.n_v, tail.n_v]))
-        np.testing.assert_array_equal(whole.gain, np.concatenate([head.gain, tail.gain]))
+        np.testing.assert_array_equal(whole.clamped, np.concatenate([head.clamped, tail.clamped]))
 
     def test_streams_are_independent_draws(self):
         cfg = AttenuationConfig()

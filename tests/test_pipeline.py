@@ -36,7 +36,7 @@ def _reference_csv(header, rows) -> bytes:
 
 def _written(tmp_path, header, columns) -> bytes:
     path = tmp_path / "t.csv"
-    write_csv(path, header, columns)
+    write_csv(path, header, [columns])
     return path.read_bytes()
 
 
@@ -120,7 +120,7 @@ def test_several_chunks_at_the_real_chunk_size(tmp_path):
 
 def test_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(2)])
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[np.arange(3), np.arange(2)]])
 
 
 @st.composite
@@ -141,31 +141,31 @@ def test_blocks_match_the_row_wise_writer_on_their_joined_rows(tmp_path_factory,
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "CSV_CHUNK_ROWS", SMALL_CHUNK)
-        write_csv(path, header, *blocks)
+        write_csv(path, header, blocks)
     rows = itertools.chain.from_iterable(zip(*block) for block in blocks)
     assert path.read_bytes() == _reference_csv(header, rows)
 
 
 def test_a_header_without_blocks_gives_the_header_line_only(tmp_path):
-    write_csv(tmp_path / "t.csv", ["a", "b"])
+    write_csv(tmp_path / "t.csv", ["a", "b"], [])
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
 
-def test_a_stream_continues_the_argument_blocks(tmp_path):
+def test_an_iterator_of_blocks_writes_their_joined_rows(tmp_path):
     blocks = [[np.arange(3), np.array([0.5, -0.0, 2.0])], [np.arange(2), np.array([1.0, 7.0])]]
     path = tmp_path / "t.csv"
-    write_csv(path, ["i", "x"], blocks[0], stream=iter(blocks[1:]))
+    write_csv(path, ["i", "x"], iter(blocks))
     assert path.read_bytes() == _reference_csv(["i", "x"], itertools.chain(*(zip(*b) for b in blocks)))
 
 
-def test_a_stream_is_drawn_only_once_the_file_is_open(tmp_path):
+def test_the_blocks_are_drawn_only_once_the_file_is_open(tmp_path):
     path = tmp_path / "t.csv"
 
     def stream():
         assert path.exists()
         yield [np.arange(2)]
 
-    write_csv(path, ["i"], stream=stream())
+    write_csv(path, ["i"], stream())
     assert path.read_bytes() == b"i\n0\n1\n"
 
 
@@ -173,16 +173,16 @@ def test_a_stream_is_drawn_only_once_the_file_is_open(tmp_path):
     [np.arange(3)],
     [np.arange(3), np.array([1 + 2j, 3j, 0j])],
 ], ids=["wrong-column-count", "wrong-dtype"])
-def test_a_rejected_stream_block_removes_the_partial_file(tmp_path, late):
+def test_a_rejected_late_block_removes_the_partial_file(tmp_path, late):
     path = tmp_path / "t.csv"
     n = pipeline.CSV_CHUNK_ROWS + 1  # a whole chunk is written before the late block
     good = [np.arange(n), np.arange(n)]
     with pytest.raises((ValueError, TypeError)):
-        write_csv(path, ["a", "b"], stream=iter([good, late]))
+        write_csv(path, ["a", "b"], iter([good, late]))
     assert not path.exists()
 
 
-def test_a_raising_stream_removes_the_partial_file(tmp_path):
+def test_a_raising_block_iterator_removes_the_partial_file(tmp_path):
     path = tmp_path / "t.csv"
 
     def stream():
@@ -190,7 +190,7 @@ def test_a_raising_stream_removes_the_partial_file(tmp_path):
         raise RuntimeError("source failed")
 
     with pytest.raises(RuntimeError, match="source failed"):
-        write_csv(path, ["a", "b"], stream=stream())
+        write_csv(path, ["a", "b"], stream())
     assert not path.exists()
 
 
@@ -205,7 +205,7 @@ def test_long_double_prints_as_its_nearest_double(tmp_path):
 ], ids=["fewer", "more"])
 def test_a_block_with_another_column_count_than_the_header_is_rejected(tmp_path, columns):
     with pytest.raises(ValueError, match="header"):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(3)], columns)
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[np.arange(3), np.arange(3)], columns])
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -218,7 +218,7 @@ def test_a_block_with_another_column_count_than_the_header_is_rejected(tmp_path,
 ], ids=["object", "complex", "bytes", "datetime", "timedelta"])
 def test_a_column_of_another_dtype_is_rejected(tmp_path, column):
     with pytest.raises(TypeError, match="dtype"):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(column.size), column])
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[np.arange(column.size), column]])
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -231,7 +231,7 @@ def test_memory_follows_the_chunk_not_the_row_count(tmp_path):
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:
-        write_csv(path, ["i", "x", "k", "b"], columns)
+        write_csv(path, ["i", "x", "k", "b"], [columns])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

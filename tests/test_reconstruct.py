@@ -152,27 +152,6 @@ def test_reconstruction_tolerates_one_percent_noise():
     assert np.median(errors) <= 0.05
 
 
-def test_map_results_do_not_depend_on_thread_count():
-    rng = np.random.default_rng(8)
-    fields = [
-        SignalField.normalized(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), rng.uniform(-1.5, 1.5))
-        for _ in range(23)
-    ]
-    pairs = [measured_ratios(f) for f in fields]
-    serial = reconstruct_map(pairs, threads=1)
-    threaded = reconstruct_map(pairs, threads=3)
-    assert len(serial) == len(threaded) == 23
-    for a, b in zip(serial, threaded):
-        assert a.index == b.index
-        assert a.se == b.se
-        assert a.n_ties == b.n_ties
-        assert (a.field.a_h, a.field.a_v, a.field.phi) == (
-            b.field.a_h,
-            b.field.a_v,
-            b.field.phi,
-        )
-
-
 def test_reconstruct_field_input_validation():
     with pytest.raises(ParameterError):
         reconstruct_field(float("nan"), 1.0)
@@ -185,5 +164,3 @@ def test_reconstruct_field_input_validation():
 def test_reconstruct_map_input_validation():
     with pytest.raises(ParameterError):
         reconstruct_map(np.zeros((3, 4)))
-    with pytest.raises(ParameterError):
-        reconstruct_map([(1.0, 1.0)], threads=0)

@@ -1,5 +1,6 @@
 """Message framing, sifting, threshold decoding, and full key sessions."""
 
+import dataclasses
 import json
 import math
 
@@ -209,6 +210,21 @@ class TestDecoding:
         _, used = decode_matrix(rows, ch, "fixed")
         np.testing.assert_array_equal(used, [True, True, True])
 
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    @pytest.mark.parametrize("lam, theta", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
+    def test_slot_major_compare_against_row_thresholds_gives_the_same_bits(self, mode, lam, theta):
+        # The change rows decide slot-major blocks against the stored
+        # per-row thresholds; the compare is elementwise, so the bits match.
+        ch = _channel(lam, theta)
+        rng = np.random.default_rng(12)
+        p = rng.uniform(-1.0, 1.0, size=(40, 9))
+        p[rng.uniform(size=p.shape) < 0.3] = np.nan
+        p[5] = ch.fixed_threshold
+        bits, midpoint = decode_matrix(p, ch, mode)
+        threshold, used = session._row_thresholds(p, ch, mode)
+        np.testing.assert_array_equal(used, midpoint)
+        np.testing.assert_array_equal(session._compare(p.T, threshold, ch.orientation), bits.T)
+
     def test_unknown_mode_is_rejected(self):
         ch = _channel()
         with pytest.raises(ParameterError):
@@ -224,7 +240,7 @@ class TestRunPulse:
         ch = ChannelModel.from_config(cfg)
         u_gain, u_h, u_v, _, _ = pulse_randoms(cfg.seed, STREAM_SESSION, 0, 1000)
         i_h, i_v = ch.itable[0, ch.decode_basis]
-        _, n_h, n_v, _ = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, cfg.attenuation)
+        n_h, n_v, _ = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, cfg.attenuation)
         assert n_h.sum() == 0
         assert n_v.sum() > 300
 
@@ -299,6 +315,8 @@ class TestRunSession:
         _, fixed_contrast, fixed_estimate = _dense_history(fixed.trajectory, n_slots)
         np.testing.assert_array_equal(running_contrast, fixed_contrast)
         np.testing.assert_array_equal(running_estimate[used], fixed_estimate[used])
+        np.testing.assert_array_equal(running.trajectory.threshold[used],
+                                      fixed.trajectory.threshold[used])
 
     def test_empty_message_is_rejected(self):
         with pytest.raises(ParameterError):
@@ -377,13 +395,16 @@ def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, thresho
     with np.errstate(invalid="ignore"):
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
     decoded, used_midpoint = session.decode_matrix(p_mat, channel, threshold_mode)
+    threshold, _ = session._row_thresholds(p_mat, channel, threshold_mode)
     correct = decoded == bits[None, :]
     return (budgets, t_mat.mean(axis=1), a_mat.mean(axis=1), correct.mean(axis=1),
-            (decoded < 0).sum(axis=1), used_midpoint, t_mat.astype(np.int64), p_mat, decoded)
+            (decoded < 0).sum(axis=1), used_midpoint, threshold,
+            t_mat.astype(np.int64), p_mat, decoded)
 
 
 def _expected_trajectory(reference):
-    """The trajectory the streamed builder must return for a dense reference.
+    """The trajectory curves and the change rows the streamed builder must
+    give for a dense reference.
 
     A slot gets a change row where its photons, contrast or estimate differs
     from the budget before, two NaN contrasts counting as equal, and at
@@ -396,25 +417,27 @@ def _expected_trajectory(reference):
     slot, budget = np.nonzero(changed.T)
     r_max = int(curves[0][-1])
     marks = np.array(sorted({b for b in session.SNAPSHOT_BUDGETS if b <= r_max} | {r_max}))
-    return session.Trajectory(
-        *curves,
-        change_slot=slot.astype(np.int32),
-        change_budget=budget.astype(np.int32),
-        change_photons=photons[budget, slot].astype(np.int32),
-        change_contrast=contrast[budget, slot],
-        change_estimate=estimate[budget, slot].astype(np.int8),
-        snapshot_budget=marks,
-        snapshot_estimate=estimate[marks].astype(np.int8),
-    )
+    traj = session.Trajectory(*curves, snapshot_budget=marks,
+                              snapshot_estimate=estimate[marks].astype(np.int8),
+                              orientation=None, events=None)
+    rows = (slot.astype(np.int32), budget, photons[budget, slot].astype(np.int32),
+            contrast[budget, slot], estimate[budget, slot].astype(np.int8))
+    return traj, rows
+
+
+def _rows(traj):
+    """The change rows of a trajectory, its generated blocks joined."""
+    return tuple(np.concatenate(column) for column in zip(*traj.change_rows()))
 
 
 def _dense_history(traj, n_slots):
     """Expand the change rows back into budget x slot photons, contrast and
     estimate; every slot has a row at budget 0, so every cell is covered."""
+    slot, budget, photons, contrast, estimate = _rows(traj)
     idx = np.full((traj.budget.size, n_slots), -1)
-    idx[traj.change_budget, traj.change_slot] = np.arange(traj.change_slot.size)
+    idx[budget, slot] = np.arange(slot.size)
     np.maximum.accumulate(idx, axis=0, out=idx)
-    return traj.change_photons[idx], traj.change_contrast[idx], traj.change_estimate[idx]
+    return photons[idx], contrast[idx], estimate[idx]
 
 
 def _events(n_h, n_v, mask, cycles):
@@ -432,14 +455,23 @@ def _events(n_h, n_v, mask, cycles):
 
 
 def _assert_same_trajectory(a, b, context=""):
-    for name in session.Trajectory.__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
+    """Same curves, thresholds and snapshots, dtypes included."""
+    for f in dataclasses.fields(session.Trajectory):
+        if f.compare:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and x.shape == y.shape, f"{context}{f.name}"
+            np.testing.assert_array_equal(x, y, err_msg=f"{context}{f.name}")
+
+
+def _assert_same_rows(got, want, context=""):
+    for name, x, y in zip(("slot", "budget", "photons", "contrast", "estimate"), got, want):
         assert x.dtype == y.dtype and x.shape == y.shape, f"{context}{name}"
         np.testing.assert_array_equal(x, y, err_msg=f"{context}{name}")
 
 
 # Chunk sizes of the streamed trajectory, in cells for n_slots slots: one
 # budget row per chunk, one row given exactly, three rows, and all rows.
+# The same constant sets the slot blocks of the change rows.
 CHUNK_CELLS = {
     "one-cell": lambda n_slots: 1,
     "one-row": lambda n_slots: n_slots,
@@ -454,14 +486,16 @@ def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
     mask, bits = np.asarray(mask, dtype=bool), np.asarray(bits, dtype=np.int64)
     channel = _channel()
     slots = np.arange(n_h.size) // cycles
-    expected = _expected_trajectory(
+    expected, expected_rows = _expected_trajectory(
         _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits, channel, mode))
     events = _events(n_h, n_v, mask, cycles)
     for name, chunk in CHUNK_CELLS.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
             got = _build_trajectory([events], bits.size, bits, channel, mode)
+            rows = _rows(got)
         _assert_same_trajectory(got, expected, context=f"chunk size {name}: ")
+        _assert_same_rows(rows, expected_rows, context=f"chunk size {name}: ")
 
 
 @st.composite
@@ -531,15 +565,17 @@ class TestTrajectoryReference:
         n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
         slots = np.arange(total) // cfg.cycles
         mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
-        expected = _expected_trajectory(_reference_trajectory(
+        expected, expected_rows = _expected_trajectory(_reference_trajectory(
             slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode))
         for name, chunk in CHUNK_CELLS.items():
             monkeypatch.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
             traj = run_session(cfg, channel).trajectory
             _assert_same_trajectory(traj, expected, context=f"chunk size {name}: ")
-        assert traj.change_slot.dtype == np.int32
-        assert traj.change_photons.dtype == traj.change_budget.dtype == np.int32
-        assert traj.change_estimate.dtype == traj.snapshot_estimate.dtype == np.int8
+            _assert_same_rows(_rows(traj), expected_rows, context=f"chunk size {name}: ")
+            for slot, _, photons, _, estimate in traj.change_rows():
+                assert slot.dtype == np.int32
+                assert photons.dtype == session._count_dtype(cfg) == np.int32
+                assert estimate.dtype == traj.snapshot_estimate.dtype == np.int8
 
 
 class TestTrajectoryStorage:
@@ -562,9 +598,11 @@ class TestTrajectoryStorage:
         wide = (ev[0],) + tuple(a.astype(np.int64) for a in ev[1:])
         narrow = _build_trajectory([ev], 2, bits, _channel(), "running-mean")
         traj = _build_trajectory([wide], 2, bits, _channel(), "running-mean")
-        assert traj.change_photons.dtype == traj.change_budget.dtype == np.int64
-        for name in session.Trajectory.__dataclass_fields__:
-            np.testing.assert_array_equal(getattr(traj, name), getattr(narrow, name))
+        _assert_same_trajectory(traj, narrow)
+        rows, narrow_rows = _rows(traj), _rows(narrow)
+        assert rows[2].dtype == np.int64 and narrow_rows[2].dtype == np.int32
+        for x, y in zip(rows, narrow_rows):
+            np.testing.assert_array_equal(x, y)
 
     def test_the_build_takes_the_event_arrays_out_of_its_list(self):
         # run_session keeps no reference, so the build can free each array
@@ -578,11 +616,20 @@ class TestTrajectoryStorage:
         traj = _build_trajectory(events, 2, bits, _channel(), "running-mean")
         assert events == []
         _assert_same_trajectory(traj, joined)
+        _assert_same_rows(_rows(traj), _rows(joined))
+
+    def test_a_library_session_never_builds_change_rows(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("change rows built")
+
+        monkeypatch.setattr(session.Trajectory, "change_rows", refuse)
+        assert run_session(SessionConfig(message="lib", cycles=50, seed=3)).accuracy >= 0
 
     def test_memory_is_bounded_by_the_chunk_not_the_budget_axis(self):
         # 3,000 slots and several thousand budget rows: one dense float64
         # budget x slot matrix is over 72 MB, and the dense builder peaked
-        # near 1 GB here.  The streamed build stays near 7 MiB.
+        # near 1 GB here.  The streamed build stays near 7 MiB, and the
+        # change rows, drawn one slot block at a time, near 4 MiB.
         import tracemalloc
 
         rng = np.random.default_rng(3)
@@ -602,10 +649,12 @@ class TestTrajectoryStorage:
         try:
             traj = _build_trajectory([(ev_slot, ev_ch, ev_cv, ev_all)], n_slots, bits,
                                      channel, "running-mean")
+            n_changes = sum(block[0].size for block in traj.change_rows())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert traj.budget.size == ct.max() + 1
+        assert n_changes >= ev_slot.size + n_slots
         assert peak < 24 * 2**20
 
 
@@ -615,6 +664,7 @@ class TestBlockInvariance:
         cfg = SessionConfig(message="Block!", cycles=50, seed=99,
                             lambda_nm=lambda_nm, decode_theta=theta)
         reference = run_session(cfg)
+        reference_rows = _rows(reference.trajectory)
         total = reference.total_pulses
         n_slots = reference.bits.size
         # below one slot (rounds up to one), one slot, three slots, whole message
@@ -625,3 +675,4 @@ class TestBlockInvariance:
                 report = run_session(cfg)
                 assert report.to_dict() == reference.to_dict()
                 _assert_same_trajectory(report.trajectory, reference.trajectory)
+                _assert_same_rows(_rows(report.trajectory), reference_rows)
