@@ -131,18 +131,23 @@ def poisson_counts(u: np.ndarray, lam: np.ndarray, max_photons: int):
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    p = np.exp(-lam)
+    # p, cdf and n are updated in place: the same operations in the same
+    # order as p = p * (lam / k) and cdf = cdf + p, with no new arrays.
+    p = np.negative(lam)
+    np.exp(p, out=p)
     cdf = p.copy()
     n = np.zeros(lam.shape, dtype=np.int64)
+    above = np.empty(lam.shape, dtype=bool)
+    step = np.empty(lam.shape)
     for k in range(1, max_photons + 1):
-        n += u > cdf
-        p = p * (lam / k)
-        cdf = cdf + p
+        n += np.greater(u, cdf, out=above)
+        np.divide(lam, k, out=step)
+        p *= step
+        cdf += p
         if k % POISSON_STOP_CHECK == 0 and not p.any():
             n += (max_photons - k) * (u > cdf)
             break
-    clamped = u > cdf
-    return n, clamped
+    return n, np.greater(u, cdf, out=above)
 
 
 def _range_bound(lo, hi, g):

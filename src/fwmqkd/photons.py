@@ -100,23 +100,28 @@ def draw_photon_counts(
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
 
     u_gain, u_h, u_v, _, _ = pulse_randoms(seed, stream, start, count)
-    return DetectionBatch(*counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config))
+    rate_h, rate_v = port_rates(i_h, i_v, config)
+    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config))
 
 
-def counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, config: AttenuationConfig):
+def port_rates(i_h, i_v, config: AttenuationConfig):
+    """Each port's share of the photon budget, mean * (i / (i_h + i_v)),
+    evaluated in that order, for intensities with a positive sum."""
+    total = i_h + i_v
+    return (config.mean_total_photons * (i_h / total),
+            config.mean_total_photons * (i_v / total))
+
+
+def counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfig):
     """Map one batch of pulse uniforms to clamped port counts.
 
-    Each port's Poisson mean is the gain times its share of the photon
-    budget, gain * (mean * (i / (i_h + i_v))), evaluated in that order.
-    i_h and i_v are scalars or per-pulse arrays with a positive sum.
+    Each port's Poisson mean is the gain times its port_rates share,
+    gain * rate.  rate_h and rate_v are scalars or per-pulse arrays.
     Returns (n_h, n_v, clamped), clamped where either port clamped.
     """
     gain = gain_from_uniform(u_gain, config.g2_target)
-    total = i_h + i_v
-    lam_h = gain * (config.mean_total_photons * (i_h / total))
-    lam_v = gain * (config.mean_total_photons * (i_v / total))
-    n_h, clamped_h = poisson_counts(u_h, lam_h, config.max_photons)
-    n_v, clamped_v = poisson_counts(u_v, lam_v, config.max_photons)
+    n_h, clamped_h = poisson_counts(u_h, gain * rate_h, config.max_photons)
+    n_v, clamped_v = poisson_counts(u_v, gain * rate_v, config.max_photons)
     return n_h, n_v, clamped_h | clamped_v
 
 

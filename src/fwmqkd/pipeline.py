@@ -209,8 +209,11 @@ def _table_cells(a: np.ndarray):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+    """Write payload as indented, key-sorted JSON and a newline, streamed
+    to the file piece by piece rather than built as one string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int, files: list[Path]) -> Path:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import BACKEND, STREAM_SESSION, pulse_randoms
+from ._kernels import BACKEND, CHUNK_PULSES, STREAM_SESSION, pulse_randoms
 from .errors import DegenerateInputError, MessageEncodingError, ParameterError
 from .optics import detected_intensities, polarization_contrast
-from .photons import AttenuationConfig, counts_from_uniforms
+from .photons import AttenuationConfig, counts_from_rates, port_rates
 from .reconstruct import THETA_MIX, THETA_SPLIT
 from .spectral import ModelParams, field_components, wavelength_to_energy
 
@@ -37,13 +37,16 @@ THRESHOLD_MODES = ("running-mean", "fixed")
 # Snapshot milestones on the photons-per-bit axis, roughly logarithmic.
 SNAPSHOT_BUDGETS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 75, 100, 150, 200, 300, 500, 1000)
 
-# Pulses drawn per block in run_session, rounded down to whole slots and
-# never less than one slot.
-BLOCK_PULSES = 1 << 16
+# Pulses drawn per block in run_session and detector-check: one Philox pass.
+# A block may start and end inside a slot.
+BLOCK_PULSES = CHUNK_PULSES
 
 # Budget x slot cells built and decoded at once by _build_trajectory, rounded
 # down to whole budget rows and never less than one row.
 TRAJECTORY_CHUNK_CELLS = 1 << 16
+
+# Events sorted at once while _build_trajectory groups them by budget chunk.
+ORDER_PIECE_EVENTS = 1 << 16
 
 
 def encode_message(text: str) -> np.ndarray:
@@ -171,19 +174,26 @@ def sift_mask(alice_bits, basis_bits, designated_bits, decode_basis: int) -> np.
     return (alice == designated) & (basis == decode_basis)
 
 
-def _draw_batch(config: SessionConfig, channel: ChannelModel, start: int, count: int):
+def _rate_tables(config: SessionConfig, channel: ChannelModel):
+    """Each port's Poisson rate at each pulse setting 2 * Alice bit + Bob
+    basis: port_rates of the channel's intensity pairs, as two tables of 4."""
+    flat = channel.itable.reshape(4, 2)
+    return port_rates(flat[:, 0], flat[:, 1], config.attenuation)
+
+
+def _draw_batch(config: SessionConfig, rates, start: int, count: int):
     """Counts and settings for pulses [start, start + count).
 
-    The per-pulse uniforms, Alice's bit and Bob's basis all come from the
-    same generator block, so the result depends only on the absolute pulse
-    index.
+    rates are the session's _rate_tables.  The per-pulse uniforms, Alice's
+    bit and Bob's basis (uint8) all come from the same generator block, so
+    the result depends only on the absolute pulse index.
     """
     u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
-    n_h, n_v, clamped = counts_from_uniforms(
-        u_gain, u_h, u_v, channel.itable[alice, basis, 0], channel.itable[alice, basis, 1],
-        config.attenuation,
-    )
-    return n_h, n_v, alice.astype(np.int64), basis.astype(np.int64), clamped
+    setting = alice << 1
+    setting |= basis
+    rate_h, rate_v = (np.take(rate, setting) for rate in rates)
+    n_h, n_v, clamped = counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config.attenuation)
+    return n_h, n_v, alice, basis, clamped
 
 
 def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
@@ -376,9 +386,10 @@ class SessionReport:
 def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> SessionReport:
     """Run a full session and trace how decoding sharpens with photon budget.
 
-    Pulses are drawn, sifted and tallied in blocks of whole slots, so memory
-    grows with the block and the sifted events, not with the pulse count.
-    The generator is positional, so the block size never changes a result.
+    Pulses are drawn, sifted and tallied in blocks of BLOCK_PULSES, so
+    memory grows with the block and the sifted events, not with the pulse
+    count.  The generator is positional and each slot's running totals carry
+    across blocks, so the block size never changes a result.
     """
     bits = encode_message(config.message)
     if bits.size == 0:
@@ -388,17 +399,19 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     n_slots = bits.size
     cycles = config.cycles
     total_pulses = n_slots * cycles
-    block_slots = max(1, BLOCK_PULSES // cycles)
+    rates = _rate_tables(config, channel)
+    designated = bits.astype(np.uint8)
     count_dtype = _count_dtype(config)
 
-    slot_h = np.zeros(n_slots, dtype=np.int64)
-    slot_v = np.zeros(n_slots, dtype=np.int64)
+    # Per slot: retained H and V photons, and every photon, so far.
+    slot_h, slot_v, slot_all = np.zeros((3, n_slots), dtype=np.int64)
     kept = clamped_kept = 0
     events = []
-    for first in range(0, n_slots, block_slots):
-        last = min(first + block_slots, n_slots)
+    for start in range(0, total_pulses, BLOCK_PULSES):
+        count = min(BLOCK_PULSES, total_pulses - start)
         block_kept, block_clamped, block_events = _sift_block(
-            config, channel, bits, first, last, slot_h, slot_v, count_dtype)
+            config, rates, designated, channel.decode_basis, start, count,
+            (slot_h, slot_v, slot_all), count_dtype)
         kept += block_kept
         clamped_kept += block_clamped
         events.append(block_events)
@@ -435,52 +448,64 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     )
 
 
-def _sift_block(config, channel, bits, first, last, slot_h, slot_v, count_dtype):
-    """Draw and sift the pulses of slots first to last - 1.
+def _sift_block(config, rates, designated, decode_basis, start, count, totals, count_dtype):
+    """Draw and sift pulses [start, start + count), which may start and end
+    inside a slot.
 
-    Writes the slots' retained H and V photon totals into slot_h and slot_v
-    and returns the block's kept and clamped-kept pulse counts and its event
-    arrays (slot, running H and V totals, all-photon running count).  The
-    pulse arrays are locals here, so none of them outlives the block.
+    totals are the per-slot retained H, retained V and all-photon counts so
+    far; the block adds its pulses to them.  Returns the block's kept and
+    clamped-kept pulse counts and its event arrays (slot, and the slot's
+    running H, V and all-photon counts).  The pulse arrays are locals here,
+    so none of them outlives the block.
     """
     cycles = config.cycles
-    n_h, n_v, alice, basis, clamped = _draw_batch(
-        config, channel, first * cycles, (last - first) * cycles
-    )
-    slot = np.repeat(np.arange(first, last), cycles)
-    mask = sift_mask(alice, basis, bits[slot], channel.decode_basis)
-    slot_h[first:last] = np.where(mask, n_h, 0).reshape(-1, cycles).sum(axis=1)
-    slot_v[first:last] = np.where(mask, n_v, 0).reshape(-1, cycles).sum(axis=1)
+    n_h, n_v, alice, basis, clamped = _draw_batch(config, rates, start, count)
+    first, last = start // cycles, (start + count - 1) // cycles + 1
+    # Block slot j holds the block's pulses edges[j] to edges[j + 1] - 1.
+    edges = np.clip(np.arange(first, last + 1) * cycles - start, 0, count)
+    mask = sift_mask(alice, basis, np.repeat(designated[first:last], np.diff(edges)),
+                     decode_basis)
     # Events are the sifted pulses that produced at least one photon; the
     # all-photons count runs over every pulse of the slot, kept or not.
-    # Blocks hold whole slots, so each slot's running counts are taken
-    # within its block.
-    totals = n_h + n_v
-    c_all = np.cumsum(totals.reshape(-1, cycles), axis=1).ravel()
-    ev = mask & (totals > 0)
-    ev_slot = slot[ev]
-    first_event = np.searchsorted(ev_slot, ev_slot)
-    events = (ev_slot.astype(np.int32),
-              _slot_cumsum(n_h[ev], first_event).astype(count_dtype),
-              _slot_cumsum(n_v[ev], first_event).astype(count_dtype),
-              c_all[ev].astype(count_dtype))
+    photons = n_h + n_v
+    ev = np.flatnonzero(mask & (photons > 0))
+    ev_edges = np.searchsorted(ev, edges)
+    per_slot = np.diff(ev_edges)
+    slot_h, slot_v, slot_all = (t[first:last] for t in totals)
+    events = (np.repeat(np.arange(first, last, dtype=np.int32), per_slot),
+              _running(n_h[ev], ev_edges, slice(None), per_slot, slot_h).astype(count_dtype),
+              _running(n_v[ev], ev_edges, slice(None), per_slot, slot_v).astype(count_dtype),
+              _running(photons, edges, ev, per_slot, slot_all).astype(count_dtype))
     return int(np.count_nonzero(mask)), int(np.count_nonzero(clamped & mask)), events
 
 
-def _slot_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Running sum of values restarting at each slot's first event."""
-    run = np.cumsum(values)
-    return run - (run - values)[first]
+def _running(values, edges, at, per_slot, total):
+    """Running sums of values within each block slot at positions at, each
+    continuing from the slot's total so far; adds the block to total.
+
+    values[edges[j]:edges[j + 1]] belong to block slot j, which has
+    per_slot[j] of the positions at.
+    """
+    run = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=run[1:])
+    base = run[edges[:-1]]
+    out = run[1:][at] + np.repeat(total - base, per_slot)
+    total += run[edges[1:]] - base
+    return out
 
 
 def _count_dtype(config: SessionConfig) -> np.dtype:
-    """Integer type of a session's per-slot photon counts.
+    """Smallest signed integer type that holds a session's per-slot photon
+    counts.
 
     Each port is clamped at max_photons per pulse, so no running count of a
     slot can exceed 2 * max_photons * cycles.
     """
     bound = 2 * config.attenuation.max_photons * config.cycles
-    return np.dtype(np.int32 if bound < 2**31 else np.int64)
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _filled(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -496,9 +521,10 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     events is a list of per-block tuples of event arrays.  Joined, they hold,
     in pulse order and so grouped by slot, the slot, the slot's retained H
     and V running totals and its all-photon running count at every sifted
-    pulse that produced a photon.  The build joins them and empties the
-    list, so that it holds the only references to the event arrays and
-    frees those the trajectory does not keep.  Row r of the budget x slot
+    pulse that produced a photon.  The build empties the list and joins the
+    parts one field at a time, so that it holds the only references to the
+    event arrays, frees each field's parts once they are joined and frees
+    the joined fields the trajectory does not keep.  Row r of the budget x slot
     state points each slot at its last event with retained total ct <= r.
     A chunk starts from the previous chunk's last row, scatters the events
     whose ct falls inside it at row ct and carries them down with a running
@@ -510,20 +536,15 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     retained H and V totals of the events are kept; Trajectory.change_rows
     rebuilds the per-slot history from them when it is asked for.
     """
-    ev_slot, ev_ch, ev_cv, ev_all = (np.concatenate(parts) for parts in zip(*events))
+    fields = [list(parts) for parts in zip(*events)]
     events.clear()
+    ev_slot, ev_ch, ev_cv, ev_all = map(_join, fields)
     ct = ev_ch + ev_cv
     n_rows = (int(ct.max()) if ct.size else 0) + 1
     budgets = np.arange(n_rows)
     rows_per_chunk = max(1, TRAJECTORY_CHUNK_CELLS // n_slots)
-    # Events grouped by chunk, and where each chunk's events start.
-    chunk_of = ct // rows_per_chunk
-    # order is the widest event array alive in the loop; an index type no
-    # wider than the event count needs keeps it at 4 B or less per event.
-    order = np.argsort(chunk_of, kind="stable").astype(np.min_scalar_type(ct.size))
     n_chunks = -(-n_rows // rows_per_chunk)
-    chunk_start = np.concatenate(([0], np.cumsum(np.bincount(chunk_of, minlength=n_chunks))))
-    del chunk_of
+    order, chunk_start = _chunk_order(ct, rows_per_chunk, n_chunks)
     marks = np.array(sorted({b for b in SNAPSHOT_BUDGETS if b < n_rows} | {n_rows - 1}))
 
     retained = np.empty(n_rows)
@@ -540,7 +561,7 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         ev = order[chunk_start[k]:chunk_start[k + 1]]
         idx = np.full((hi - lo, n_slots), -1, dtype=np.intp)
         idx[0] = last_idx
-        np.put(idx, (ct[ev] - lo) * n_slots + ev_slot[ev], ev)
+        np.put(idx, (ct[ev].astype(np.intp) - lo) * n_slots + ev_slot[ev], ev)
         np.maximum.accumulate(idx, axis=0, out=idx)
         seen = idx >= 0
         hit = idx[seen]
@@ -559,7 +580,8 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         in_chunk = (marks >= lo) & (marks < hi)
         snapshot_estimate[in_chunk] = decoded[marks[in_chunk] - lo]
         last_idx = idx[-1]
-    slot_start = np.searchsorted(ev_slot, np.arange(n_slots + 1))
+    # Slots of ev_slot's own dtype, so searchsorted makes no wider copy of it.
+    slot_start = np.searchsorted(ev_slot, np.arange(n_slots + 1, dtype=ev_slot.dtype))
     return Trajectory(
         budgets, retained, all_photons, accuracy, undecided, used_midpoint, threshold,
         snapshot_budget=marks,
@@ -567,6 +589,46 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         orientation=channel.orientation,
         events=(slot_start, ev_ch, ev_cv),
     )
+
+
+def _join(parts: list) -> np.ndarray:
+    """Concatenate a list of arrays and empty it, so the parts can go."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _chunk_order(ct, rows_per_chunk: int, n_chunks: int):
+    """Event indices grouped by budget chunk, in event order within a chunk,
+    and where each chunk's events start.
+
+    This is the stable argsort of ct // rows_per_chunk, made
+    ORDER_PIECE_EVENTS events at a time and scattered into an index type no
+    wider than the event count needs (4 B or less per event), so no
+    events-long intp array is made.
+    """
+    pieces = [slice(a, a + ORDER_PIECE_EVENTS) for a in range(0, ct.size, ORDER_PIECE_EVENTS)]
+
+    def chunk_of(piece):
+        return ct[piece].astype(np.intp) // rows_per_chunk
+
+    counts = np.zeros(n_chunks, dtype=np.intp)
+    for piece in pieces:
+        counts += np.bincount(chunk_of(piece), minlength=n_chunks)
+    chunk_start = np.concatenate(([0], np.cumsum(counts)))
+    # Where the next event of each chunk goes.
+    fill = chunk_start[:-1].copy()
+    order = np.empty(ct.size, dtype=np.min_scalar_type(ct.size))
+    for piece in pieces:
+        chunks = chunk_of(piece)
+        local = np.argsort(chunks, kind="stable")
+        piece_counts = np.bincount(chunks, minlength=n_chunks)
+        chunks = chunks[local]
+        # The k-th event of chunk c in this piece goes to fill[c] + k.
+        rank = np.arange(local.size) - (np.cumsum(piece_counts) - piece_counts)[chunks]
+        order[fill[chunks] + rank] = local + piece.start
+        fill += piece_counts
+    return order, chunk_start
 
 
 def _snapshots(traj: Trajectory) -> list[tuple[int, float, str]]:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fwmqkd._kernels import STREAM_SESSION
+from fwmqkd import session
+from fwmqkd._kernels import (
+    POISSON_STOP_CHECK,
+    STREAM_DETECTOR,
+    STREAM_SESSION,
+    poisson_counts,
+    pulse_randoms,
+)
 from fwmqkd.errors import DegenerateInputError, ParameterError
 from fwmqkd.photons import (
     AttenuationConfig,
@@ -28,6 +35,7 @@ from fwmqkd.photons import (
     resolution,
     tally_pairs,
 )
+from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
 
 
 def test_attenuation_config_validation():
@@ -351,3 +359,97 @@ def test_resolution_type_is_frozen():
     res = Resolution(1.0, False)
     with pytest.raises(AttributeError):
         res.value = 2.0
+
+
+def _old_poisson_counts(u, lam, max_photons):
+    """poisson_counts as it was before it updated p, cdf and n in place."""
+    u = np.asarray(u, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    p = np.exp(-lam)
+    cdf = p.copy()
+    n = np.zeros(lam.shape, dtype=np.int64)
+    for k in range(1, max_photons + 1):
+        n += u > cdf
+        p = p * (lam / k)
+        cdf = cdf + p
+        if k % POISSON_STOP_CHECK == 0 and not p.any():
+            n += (max_photons - k) * (u > cdf)
+            break
+    clamped = u > cdf
+    return n, clamped
+
+
+def _old_counts(u_gain, u_h, u_v, i_h, i_v, config):
+    """Port counts with the rate worked out per pulse from the intensities,
+    gain * (mean * (i / (i_h + i_v))), then the old Poisson body."""
+    gain = gain_from_uniform(u_gain, config.g2_target)
+    total = i_h + i_v
+    lam_h = gain * (config.mean_total_photons * (i_h / total))
+    lam_v = gain * (config.mean_total_photons * (i_v / total))
+    n_h, clamped_h = _old_poisson_counts(u_h, lam_h, config.max_photons)
+    n_v, clamped_v = _old_poisson_counts(u_v, lam_v, config.max_photons)
+    return n_h, n_v, clamped_h | clamped_v
+
+
+def _assert_bitwise_equal(got, want):
+    for x, y in zip(got, want, strict=True):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        np.testing.assert_array_equal(x, y)
+
+
+# 16 and 17 sit either side of the first early-stop check, 100 runs past
+# several; a rate of 1e-300 underflows p at once, so the early stop runs.
+OLD_PATH_MAX_PHOTONS = [1, 5, 16, 17, 100]
+OLD_PATH_MEANS = [1e-300, 0.05, 1.0, 6.0, 40.0]
+
+
+class TestCountsMatchTheOldPerPulsePath:
+    @settings(max_examples=80, deadline=None)
+    @given(max_photons=st.sampled_from(OLD_PATH_MAX_PHOTONS),
+           rates=st.lists(st.sampled_from([0.0, 1e-300, 0.3, 5.0, 50.0, 746.0]),
+                          min_size=1, max_size=40),
+           data=st.data())
+    def test_poisson_counts_match_the_old_body(self, max_photons, rates, data):
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(rates),
+                                        max_size=len(rates))))
+        lam = np.array(rates)
+        _assert_bitwise_equal(poisson_counts(u, lam, max_photons),
+                              _old_poisson_counts(u, lam, max_photons))
+
+    @settings(max_examples=40, deadline=None)
+    @given(max_photons=st.sampled_from(OLD_PATH_MAX_PHOTONS),
+           g2=st.sampled_from([1.0, 2.5]),
+           mean=st.sampled_from(OLD_PATH_MEANS),
+           preset=st.sampled_from([(540.0, THETA_SPLIT), (500.0, THETA_MIX)]),
+           seed=st.integers(0, 2**64 - 1),
+           start=st.integers(0, 2**40),
+           count=st.integers(0, 2000))
+    def test_session_draw_matches_the_per_pulse_rate(self, max_photons, g2, mean, preset,
+                                                     seed, start, count):
+        attenuation = AttenuationConfig(mean_total_photons=mean, g2_target=g2,
+                                        max_photons=max_photons)
+        cfg = session.SessionConfig(seed=seed, lambda_nm=preset[0], decode_theta=preset[1],
+                                    attenuation=attenuation)
+        channel = session.ChannelModel.from_config(cfg)
+        got = session._draw_batch(cfg, session._rate_tables(cfg, channel), start, count)
+        u_gain, u_h, u_v, alice, basis = pulse_randoms(seed, STREAM_SESSION, start, count)
+        want = _old_counts(u_gain, u_h, u_v, channel.itable[alice, basis, 0],
+                           channel.itable[alice, basis, 1], attenuation)
+        _assert_bitwise_equal(got, (*want[:2], alice, basis, want[2]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(max_photons=st.sampled_from(OLD_PATH_MAX_PHOTONS),
+           g2=st.sampled_from([1.0, 2.5]),
+           mean=st.sampled_from(OLD_PATH_MEANS),
+           i_h=st.floats(0.0, 2.0), i_v=st.floats(1e-6, 2.0),
+           seed=st.integers(0, 2**64 - 1),
+           count=st.integers(0, 2000))
+    def test_detector_draw_matches_the_per_pulse_rate(self, max_photons, g2, mean, i_h, i_v,
+                                                      seed, count):
+        attenuation = AttenuationConfig(mean_total_photons=mean, g2_target=g2,
+                                        max_photons=max_photons)
+        batch = draw_photon_counts(i_h, i_v, attenuation, seed, count)
+        u_gain, u_h, u_v, _, _ = pulse_randoms(seed, STREAM_DETECTOR, 0, count)
+        want = _old_counts(u_gain, u_h, u_v, np.asarray(i_h), np.asarray(i_v), attenuation)
+        _assert_bitwise_equal(astuple(batch), want)

@@ -270,3 +270,16 @@ def test_manifest_digests_do_not_depend_on_the_read_size(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "MANIFEST_READ_BYTES", 7)
     manifest = json.loads(pipeline.write_manifest(out, "detector-check", {}, 1, files).read_text())
     assert {e["path"]: (e["bytes"], e["sha256"]) for e in manifest["outputs"]} == whole
+
+
+def test_write_json_streams_the_bytes_of_one_dumps_call(tmp_path):
+    payload = {
+        "zeta": [1, [2.5, float("nan")], {"b": None, "a": [float("inf"), -0.0]}],
+        "alpha": {"y": "text", "x": [[], [[3]]]},
+        "mid": float("nan"),
+        "trajectory": [{"budget": b, "contrast": b / 7} for b in range(50)],
+    }
+    path = tmp_path / "report.json"
+    pipeline.write_json(path, payload)
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")

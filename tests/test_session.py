@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fwmqkd import session
 from fwmqkd.errors import MessageEncodingError, ParameterError
 from fwmqkd._kernels import STREAM_SESSION, pulse_randoms
-from fwmqkd.photons import AttenuationConfig, counts_from_uniforms
+from fwmqkd.photons import AttenuationConfig, counts_from_rates, port_rates
 from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
 from fwmqkd.session import (
     BITS_PER_CHAR,
@@ -21,6 +21,7 @@ from fwmqkd.session import (
     SessionConfig,
     _build_trajectory,
     _draw_batch,
+    _rate_tables,
     decode_matrix,
     decode_to_text,
     encode_message,
@@ -156,7 +157,7 @@ class TestSifting:
     def test_random_retention_is_one_quarter(self):
         ch = _channel()
         cfg = SessionConfig(cycles=1)
-        _, _, alice, basis, _ = _draw_batch(cfg, ch, 0, 100_000)
+        _, _, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, ch), 0, 100_000)
         designated = np.repeat(encode_message(cfg.message), 100_000 // 56 + 1)[:100_000]
         mask = sift_mask(alice, basis, designated, ch.decode_basis)
         assert abs(mask.mean() - 0.25) <= 0.01
@@ -240,7 +241,8 @@ class TestRunPulse:
         ch = ChannelModel.from_config(cfg)
         u_gain, u_h, u_v, _, _ = pulse_randoms(cfg.seed, STREAM_SESSION, 0, 1000)
         i_h, i_v = ch.itable[0, ch.decode_basis]
-        n_h, n_v, _ = counts_from_uniforms(u_gain, u_h, u_v, i_h, i_v, cfg.attenuation)
+        rate_h, rate_v = port_rates(i_h, i_v, cfg.attenuation)
+        n_h, n_v, _ = counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, cfg.attenuation)
         assert n_h.sum() == 0
         assert n_v.sum() > 300
 
@@ -402,9 +404,9 @@ def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, thresho
             t_mat.astype(np.int64), p_mat, decoded)
 
 
-def _expected_trajectory(reference):
+def _expected_trajectory(reference, count_dtype=np.int32):
     """The trajectory curves and the change rows the streamed builder must
-    give for a dense reference.
+    give for a dense reference, with photons in count_dtype.
 
     A slot gets a change row where its photons, contrast or estimate differs
     from the budget before, two NaN contrasts counting as equal, and at
@@ -420,7 +422,7 @@ def _expected_trajectory(reference):
     traj = session.Trajectory(*curves, snapshot_budget=marks,
                               snapshot_estimate=estimate[marks].astype(np.int8),
                               orientation=None, events=None)
-    rows = (slot.astype(np.int32), budget, photons[budget, slot].astype(np.int32),
+    rows = (slot.astype(np.int32), budget, photons[budget, slot].astype(count_dtype),
             contrast[budget, slot], estimate[budget, slot].astype(np.int8))
     return traj, rows
 
@@ -546,7 +548,7 @@ class TestTrajectoryReference:
         channel = ChannelModel.from_config(cfg)
         bits = encode_message(cfg.message)
         total = bits.size * cfg.cycles
-        n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
+        n_h, n_v, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, channel), 0, total)
         slots = np.arange(total) // cfg.cycles
         mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
         *_, photons, contrast, estimate = _reference_trajectory(
@@ -562,11 +564,12 @@ class TestTrajectoryReference:
         bits = encode_message(cfg.message)
         total = bits.size * cfg.cycles
         assert total > 10 * session.BLOCK_PULSES
-        n_h, n_v, alice, basis, _ = _draw_batch(cfg, channel, 0, total)
+        n_h, n_v, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, channel), 0, total)
         slots = np.arange(total) // cfg.cycles
         mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
         expected, expected_rows = _expected_trajectory(_reference_trajectory(
-            slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode))
+            slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode),
+            session._count_dtype(cfg))
         for name, chunk in CHUNK_CELLS.items():
             monkeypatch.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
             traj = run_session(cfg, channel).trajectory
@@ -574,7 +577,7 @@ class TestTrajectoryReference:
             _assert_same_rows(_rows(traj), expected_rows, context=f"chunk size {name}: ")
             for slot, _, photons, _, estimate in traj.change_rows():
                 assert slot.dtype == np.int32
-                assert photons.dtype == session._count_dtype(cfg) == np.int32
+                assert photons.dtype == session._count_dtype(cfg) == np.int16
                 assert estimate.dtype == traj.snapshot_estimate.dtype == np.int8
 
 
@@ -584,8 +587,12 @@ class TestTrajectoryStorage:
             return session._count_dtype(SessionConfig(
                 cycles=cycles, attenuation=AttenuationConfig(max_photons=max_photons)))
 
-        assert dtype(1200) == np.int32
-        # 2 * max_photons * cycles against 2**31
+        assert dtype(1200) == np.int16
+        # 2 * max_photons * cycles, which is even, against 2**7, 2**15 and 2**31
+        assert dtype(63, max_photons=1) == np.int8
+        assert dtype(64, max_photons=1) == np.int16
+        assert dtype(2**14 - 1, max_photons=1) == np.int16
+        assert dtype(2**14, max_photons=1) == np.int32
         assert dtype(2**30 - 1, max_photons=1) == np.int32
         assert dtype(2**30, max_photons=1) == np.int64
         assert dtype(1, max_photons=2**30) == np.int64
@@ -657,6 +664,35 @@ class TestTrajectoryStorage:
         assert n_changes >= ev_slot.size + n_slots
         assert peak < 24 * 2**20
 
+    def test_a_slot_many_blocks_long_costs_a_block_not_a_slot(self, monkeypatch):
+        # Seven slots, each many blocks long.  When the draw hands its
+        # events to the trajectory build, the session's peak so far, less
+        # the events it holds, is the pulse block's working memory; it must
+        # not grow with the slot.  A block once held whole slots, so there a
+        # 10x longer slot made each block, and the peak, 10x larger.
+        import sys
+        import tracemalloc
+
+        monkeypatch.setattr(session, "BLOCK_PULSES", 512)
+        build = session._build_trajectory
+        overhead = []
+
+        def measured(events, *args):
+            _, peak = tracemalloc.get_traced_memory()
+            held = sys.getsizeof(events) + sum(
+                sys.getsizeof(part) + sum(sys.getsizeof(a) for a in part) for part in events)
+            overhead.append(peak - held)
+            return build(events, *args)
+
+        monkeypatch.setattr(session, "_build_trajectory", measured)
+        for cycles in (4_000, 40_000):
+            tracemalloc.start()
+            try:
+                run_session(SessionConfig(message="A", cycles=cycles, seed=11))
+            finally:
+                tracemalloc.stop()
+        assert overhead[1] - overhead[0] < 32 * 2**10
+
 
 class TestBlockInvariance:
     @pytest.mark.parametrize("lambda_nm,theta", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
@@ -667,8 +703,10 @@ class TestBlockInvariance:
         reference_rows = _rows(reference.trajectory)
         total = reference.total_pulses
         n_slots = reference.bits.size
-        # below one slot (rounds up to one), one slot, three slots, whole message
-        for block in (1, cfg.cycles, 3 * cfg.cycles, 10 * total):
+        # one pulse; blocks that split slots (just under and over one slot,
+        # and a few pulses); one slot; three slots; more than the message
+        for block in (1, cfg.cycles - 1, cfg.cycles + 1, 7, cfg.cycles, 3 * cfg.cycles,
+                      10 * total):
             monkeypatch.setattr(session, "BLOCK_PULSES", block)
             for chunk in CHUNK_CELLS.values():
                 monkeypatch.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(n_slots))
