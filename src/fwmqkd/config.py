@@ -106,6 +106,10 @@ def load_config(path: str | os.PathLike | None) -> dict:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
     _merge(merged, data, "")
+    for where, value in (("output_dir", merged["output_dir"]),
+                         ("reconstruct.input", merged["reconstruct"]["input"])):
+        if value is not None and not isinstance(value, str):
+            raise SchemaError(f"config key {where!r} must be a path string or null")
     return merged
 
 
@@ -226,6 +230,9 @@ def session_config_from(config: dict, seed: int) -> SessionConfig:
         theta_deg = float(theta_deg)
     except (TypeError, ValueError):
         raise ConfigError("qkd.lambda_nm and qkd.decode_theta_deg must be numbers") from None
+    for key, value in (("lambda_nm", lam), ("decode_theta_deg", theta_deg)):
+        if not math.isfinite(value):
+            raise ConfigError(f"qkd.{key} must be finite, got {value}")
     return SessionConfig(
         message=q["message"],
         cycles=int(q["cycles"]),

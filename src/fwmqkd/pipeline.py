@@ -271,8 +271,9 @@ def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     energies = _energy_grid(section)
     conditions = [Condition.from_string(name) for name in section["conditions"]]
     t_list = list(section["t_list"])
-    if not t_list:
-        raise ConfigError("spectra.t_list must not be empty")
+    for key, values in (("t_list", t_list), ("conditions", conditions)):
+        if not values:
+            raise ConfigError(f"spectra.{key} must not be empty")
 
     # File names print the delay with {t:g}, so distinct delays can share a
     # name; reject that before writing rather than overwrite a table.

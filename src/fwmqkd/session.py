@@ -41,12 +41,9 @@ SNAPSHOT_BUDGETS = (1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 75, 100, 150, 200, 300, 5
 # A block may start and end inside a slot.
 BLOCK_PULSES = CHUNK_PULSES
 
-# Budget x slot cells built and decoded at once by _build_trajectory, rounded
-# down to whole budget rows and never less than one row.
+# Budget x slot cells built and decoded at once by _build_trajectory and
+# Trajectory.change_rows, rounded down to whole rows or slots, never below one.
 TRAJECTORY_CHUNK_CELLS = 1 << 16
-
-# Events sorted at once while _build_trajectory groups them by budget chunk.
-ORDER_PIECE_EVENTS = 1 << 16
 
 
 def encode_message(text: str) -> np.ndarray:
@@ -296,34 +293,31 @@ class Trajectory:
         budget.  A slot's photons and contrast change exactly at its events,
         and its estimate depends only on its own contrast and the budget's
         threshold, so each block of max(1, TRAJECTORY_CHUNK_CELLS // budget
-        rows) slots is forward-filled from its own events and decided
+        rows) slots is filled by _window over every budget row and decided
         against the stored thresholds, the same compare as the budget pass.
         """
         start, ev_h, ev_v = self.events
         n_rows = self.budget.size
         n_block = max(1, TRAJECTORY_CHUNK_CELLS // n_rows)
-        for first in range(0, start.size - 1, n_block):
-            last = min(first + n_block, start.size - 1)
-            h, v = ev_h[start[first]:start[last]], ev_v[start[first]:start[last]]
-            counts = np.diff(start[first:last + 1])
-            ct = h + v
-            # Entry 0 stands for a slot with no event yet.
-            photons = np.concatenate((np.zeros(1, ct.dtype), ct))
-            contrast = np.concatenate(([np.nan], (h - v) / ct))
-            # Cell (s, r) indexes slot s's last event with retained total <= r.
-            idx = np.zeros((counts.size, n_rows), dtype=np.intp)
-            np.put(idx, np.repeat(np.arange(counts.size) * n_rows, counts) + ct,
-                   np.arange(1, ct.size + 1))
-            np.maximum.accumulate(idx, axis=1, out=idx)
-            p = contrast[idx]
-            estimate = _compare(p, self.threshold, self.orientation)
+        for a in range(0, start.size - 1, n_block):
+            b = min(a + n_block, start.size - 1)
+            first = start[a:b]
+            idx = _window(ev_h, ev_v, first, start[a + 1:b + 1], 0, n_rows)
+            seen = idx >= first
+            hit = idx[seen]
+            h, v = ev_h[hit], ev_v[hit]
+            photons = np.zeros(idx.shape, dtype=ev_h.dtype)
+            photons[seen] = ct = h + v
+            p = np.full(idx.shape, np.nan)
+            p[seen] = (h - v) / ct
+            estimate = _compare(p, self.threshold[:, None], self.orientation)
             changed = np.empty(idx.shape, dtype=bool)
-            changed[:, 0] = True
-            np.not_equal(idx[:, 1:], idx[:, :-1], out=changed[:, 1:])
-            changed[:, 1:] |= estimate[:, 1:] != estimate[:, :-1]
-            slot, budget = np.nonzero(changed)
-            yield ((slot + first).astype(np.int32), budget, photons[idx[slot, budget]],
-                   p[slot, budget], estimate[slot, budget].astype(np.int8))
+            changed[0] = True
+            np.not_equal(idx[1:], idx[:-1], out=changed[1:])
+            changed[1:] |= estimate[1:] != estimate[:-1]
+            slot, budget = np.nonzero(changed.T)
+            yield ((slot + a).astype(np.int32), budget, photons[budget, slot],
+                   p[budget, slot], estimate[budget, slot].astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -403,15 +397,15 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     designated = bits.astype(np.uint8)
     count_dtype = _count_dtype(config)
 
-    # Per slot: retained H and V photons, and every photon, so far.
-    slot_h, slot_v, slot_all = np.zeros((3, n_slots), dtype=np.int64)
+    # Per slot: retained H and V photons, every photon, and events, so far.
+    slot_h, slot_v, slot_all, slot_events = np.zeros((4, n_slots), dtype=np.int64)
     kept = clamped_kept = 0
     events = []
     for start in range(0, total_pulses, BLOCK_PULSES):
         count = min(BLOCK_PULSES, total_pulses - start)
         block_kept, block_clamped, block_events = _sift_block(
             config, rates, designated, channel.decode_basis, start, count,
-            (slot_h, slot_v, slot_all), count_dtype)
+            (slot_h, slot_v, slot_all, slot_events), count_dtype)
         kept += block_kept
         clamped_kept += block_clamped
         events.append(block_events)
@@ -420,7 +414,8 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
 
-    trajectory = _build_trajectory(events, n_slots, bits, channel, config.threshold_mode)
+    start = np.concatenate(([0], np.cumsum(slot_events)))
+    trajectory = _build_trajectory(events, start, bits, channel, config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
 
@@ -452,9 +447,9 @@ def _sift_block(config, rates, designated, decode_basis, start, count, totals, c
     """Draw and sift pulses [start, start + count), which may start and end
     inside a slot.
 
-    totals are the per-slot retained H, retained V and all-photon counts so
-    far; the block adds its pulses to them.  Returns the block's kept and
-    clamped-kept pulse counts and its event arrays (slot, and the slot's
+    totals are the per-slot retained H, retained V, all-photon and event
+    counts so far; the block adds its pulses to them.  Returns the block's
+    kept and clamped-kept pulse counts and its event arrays (the slot's
     running H, V and all-photon counts).  The pulse arrays are locals here,
     so none of them outlives the block.
     """
@@ -471,9 +466,9 @@ def _sift_block(config, rates, designated, decode_basis, start, count, totals, c
     ev = np.flatnonzero(mask & (photons > 0))
     ev_edges = np.searchsorted(ev, edges)
     per_slot = np.diff(ev_edges)
-    slot_h, slot_v, slot_all = (t[first:last] for t in totals)
-    events = (np.repeat(np.arange(first, last, dtype=np.int32), per_slot),
-              _running(n_h[ev], ev_edges, slice(None), per_slot, slot_h).astype(count_dtype),
+    slot_h, slot_v, slot_all, slot_events = (t[first:last] for t in totals)
+    slot_events += per_slot
+    events = (_running(n_h[ev], ev_edges, slice(None), per_slot, slot_h).astype(count_dtype),
               _running(n_v[ev], ev_edges, slice(None), per_slot, slot_v).astype(count_dtype),
               _running(photons, edges, ev, per_slot, slot_all).astype(count_dtype))
     return int(np.count_nonzero(mask)), int(np.count_nonzero(clamped & mask)), events
@@ -515,20 +510,19 @@ def _filled(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Trajectory:
+def _build_trajectory(events, start, bits, channel, threshold_mode) -> Trajectory:
     """Decode along the photon budget axis, a chunk of budget rows at a time.
 
     events is a list of per-block tuples of event arrays.  Joined, they hold,
-    in pulse order and so grouped by slot, the slot, the slot's retained H
-    and V running totals and its all-photon running count at every sifted
-    pulse that produced a photon.  The build empties the list and joins the
-    parts one field at a time, so that it holds the only references to the
-    event arrays, frees each field's parts once they are joined and frees
-    the joined fields the trajectory does not keep.  Row r of the budget x slot
-    state points each slot at its last event with retained total ct <= r.
-    A chunk starts from the previous chunk's last row, scatters the events
-    whose ct falls inside it at row ct and carries them down with a running
-    maximum; this is exact because ct strictly increases within a slot.
+    in pulse order, the slot's retained H and V running totals and its
+    all-photon running count at every sifted pulse that produced a photon;
+    slot s owns events start[s] to start[s + 1] - 1.  The build empties the
+    list and joins the parts one field at a time, so that it holds the only
+    references to the event arrays, frees each field's parts once they are
+    joined and frees the all-photon field once the pass ends.  Row r of the
+    budget x slot state points each slot at its last event with retained
+    total <= r; _window builds it a chunk of rows at a time, each chunk
+    reading every slot from the first event the chunk before did not reach.
     Rows decode independently, so decoding chunk by chunk gives the same
     bits as decoding the whole matrix.
 
@@ -538,13 +532,14 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     """
     fields = [list(parts) for parts in zip(*events)]
     events.clear()
-    ev_slot, ev_ch, ev_cv, ev_all = map(_join, fields)
-    ct = ev_ch + ev_cv
-    n_rows = (int(ct.max()) if ct.size else 0) + 1
+    ev_ch, ev_cv, ev_all = map(_join, fields)
+    n_slots = bits.size
+    first, end = start[:-1], start[1:]
+    # A slot's retained total grows from event to event, so its last is its largest.
+    last = end[end > first] - 1
+    n_rows = (int((ev_ch[last].astype(np.intp) + ev_cv[last]).max()) if last.size else 0) + 1
     budgets = np.arange(n_rows)
     rows_per_chunk = max(1, TRAJECTORY_CHUNK_CELLS // n_slots)
-    n_chunks = -(-n_rows // rows_per_chunk)
-    order, chunk_start = _chunk_order(ct, rows_per_chunk, n_chunks)
     marks = np.array(sorted({b for b in SNAPSHOT_BUDGETS if b < n_rows} | {n_rows - 1}))
 
     retained = np.empty(n_rows)
@@ -554,16 +549,12 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
     used_midpoint = np.empty(n_rows, dtype=bool)
     threshold = np.empty(n_rows)
     snapshot_estimate = np.empty((marks.size, n_slots), dtype=np.int8)
-    last_idx = np.full(n_slots, -1, dtype=np.intp)
+    cursor = first
 
-    for k in range(n_chunks):
-        lo, hi = k * rows_per_chunk, min((k + 1) * rows_per_chunk, n_rows)
-        ev = order[chunk_start[k]:chunk_start[k + 1]]
-        idx = np.full((hi - lo, n_slots), -1, dtype=np.intp)
-        idx[0] = last_idx
-        np.put(idx, (ct[ev].astype(np.intp) - lo) * n_slots + ev_slot[ev], ev)
-        np.maximum.accumulate(idx, axis=0, out=idx)
-        seen = idx >= 0
+    for lo in range(0, n_rows, rows_per_chunk):
+        hi = min(lo + rows_per_chunk, n_rows)
+        idx = _window(ev_ch, ev_cv, cursor, end, lo, hi)
+        seen = idx >= first
         hit = idx[seen]
         h_mat = _filled(ev_ch[hit], seen)
         v_mat = _filled(ev_cv[hit], seen)
@@ -579,15 +570,13 @@ def _build_trajectory(events, n_slots, bits, channel, threshold_mode) -> Traject
         undecided[lo:hi] = (decoded < 0).sum(axis=1)
         in_chunk = (marks >= lo) & (marks < hi)
         snapshot_estimate[in_chunk] = decoded[marks[in_chunk] - lo]
-        last_idx = idx[-1]
-    # Slots of ev_slot's own dtype, so searchsorted makes no wider copy of it.
-    slot_start = np.searchsorted(ev_slot, np.arange(n_slots + 1, dtype=ev_slot.dtype))
+        cursor = idx[-1] + 1
     return Trajectory(
         budgets, retained, all_photons, accuracy, undecided, used_midpoint, threshold,
         snapshot_budget=marks,
         snapshot_estimate=snapshot_estimate,
         orientation=channel.orientation,
-        events=(slot_start, ev_ch, ev_cv),
+        events=(start, ev_ch, ev_cv),
     )
 
 
@@ -598,37 +587,28 @@ def _join(parts: list) -> np.ndarray:
     return joined
 
 
-def _chunk_order(ct, rows_per_chunk: int, n_chunks: int):
-    """Event indices grouped by budget chunk, in event order within a chunk,
-    and where each chunk's events start.
+def _window(ev_h, ev_v, cursor, end, lo: int, hi: int) -> np.ndarray:
+    """Budget rows [lo, hi) of the slots' event pointers: cell (r, s) is the
+    index of slot s's last event with retained total <= lo + r, or
+    cursor[s] - 1 where no event from cursor[s] on is that small.
 
-    This is the stable argsort of ct // rows_per_chunk, made
-    ORDER_PIECE_EVENTS events at a time and scattered into an index type no
-    wider than the event count needs (4 B or less per event), so no
-    events-long intp array is made.
+    cursor is each slot's first event with retained total >= lo and end one
+    past its last; ev_h and ev_v are the events' retained H and V totals.
+    A slot's retained total strictly grows from event to event, so only its
+    first hi - lo events from cursor on, the candidates, can fall in the
+    band.  Each is scattered to the row of its total and carried down the
+    rows with a running maximum, so the window is the size of the band.
     """
-    pieces = [slice(a, a + ORDER_PIECE_EVENTS) for a in range(0, ct.size, ORDER_PIECE_EVENTS)]
-
-    def chunk_of(piece):
-        return ct[piece].astype(np.intp) // rows_per_chunk
-
-    counts = np.zeros(n_chunks, dtype=np.intp)
-    for piece in pieces:
-        counts += np.bincount(chunk_of(piece), minlength=n_chunks)
-    chunk_start = np.concatenate(([0], np.cumsum(counts)))
-    # Where the next event of each chunk goes.
-    fill = chunk_start[:-1].copy()
-    order = np.empty(ct.size, dtype=np.min_scalar_type(ct.size))
-    for piece in pieces:
-        chunks = chunk_of(piece)
-        local = np.argsort(chunks, kind="stable")
-        piece_counts = np.bincount(chunks, minlength=n_chunks)
-        chunks = chunks[local]
-        # The k-th event of chunk c in this piece goes to fill[c] + k.
-        rank = np.arange(local.size) - (np.cumsum(piece_counts) - piece_counts)[chunks]
-        order[fill[chunks] + rank] = local + piece.start
-        fill += piece_counts
-    return order, chunk_start
+    n_rows = hi - lo
+    count = np.minimum(end - cursor, n_rows)
+    s = np.repeat(np.arange(cursor.size), count)
+    ev = np.arange(s.size) + np.repeat(cursor - np.cumsum(count) + count, count)
+    row = ev_h[ev].astype(np.intp) + ev_v[ev] - lo
+    inside = row < n_rows
+    idx = np.tile(cursor - 1, (n_rows, 1))
+    np.put(idx, row[inside] * cursor.size + s[inside], ev[inside])
+    np.maximum.accumulate(idx, axis=0, out=idx)
+    return idx
 
 
 def _snapshots(traj: Trajectory) -> list[tuple[int, float, str]]:

@@ -88,6 +88,12 @@ class TestSpectra:
         assert "config_sha256" in manifest
         assert manifest["command"] == "spectra"
 
+    def test_an_empty_condition_list_is_rejected(self, run_cli, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", {"spectra": {"conditions": []}})
+        assert run_cli("spectra", "--config", cfg, "--out", "s") == 2
+        assert capsys.readouterr().err == "error: spectra.conditions must not be empty\n"
+        assert not (run_cli.cwd / "s").exists()
+
 
 class TestContrastMap:
     def test_grid_layout_and_bounds(self, run_cli, tmp_path):
@@ -268,6 +274,16 @@ class TestQkd:
     def test_bad_threshold_mode_is_a_config_error(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", {"qkd": {"threshold_mode": "bogus"}})
         assert run_cli("qkd", "--config", cfg, "--out", "q") == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["lambda_nm", "decode_theta_deg"])
+    def test_a_non_finite_channel_string_is_rejected_by_name(self, run_cli, tmp_path, capsys,
+                                                             key, value):
+        cfg = _write_config(tmp_path / "c.json",
+                            {"qkd": {key: value, "message": "A", "cycles": 10}})
+        assert run_cli("qkd", "--config", cfg, "--out", "q") == 2
+        assert capsys.readouterr().err == f"error: qkd.{key} must be finite, got {value}\n"
+        assert not (run_cli.cwd / "q").exists()
 
 
 class TestDetectorCheck:
@@ -454,6 +470,18 @@ class TestCommonBehavior:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (run_cli.cwd / "out").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("spectra", {"output_dir": 3}),
+        ("reconstruct", {"reconstruct": {"input": 5}}),
+    ], ids=["output-dir", "reconstruct-input"])
+    def test_a_number_in_a_path_key_exits_2_with_one_line(self, run_cli, tmp_path, capsys,
+                                                          command, section):
+        cfg = _write_config(tmp_path / "c.json", section)
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in run_cli.cwd.iterdir()] == ["c.json"]
 
     def test_unknown_config_keys_are_rejected(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", {"spectre": {}})

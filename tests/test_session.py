@@ -443,17 +443,20 @@ def _dense_history(traj, n_slots):
 
 
 def _events(n_h, n_v, mask, cycles):
-    """Event arrays of a pulse train, slot by slot: slot and the slot's
-    retained H, V and all-photon running counts at each event."""
-    parts = []
+    """Event arrays of a pulse train, slot by slot: where each slot's events
+    start, and the slot's retained H, V and all-photon running counts at
+    each event."""
+    parts, start = [], [0]
     for s in range(n_h.size // cycles):
         sl = slice(s * cycles, (s + 1) * cycles)
         h, v, m = n_h[sl], n_v[sl], mask[sl]
         ch, cv = np.cumsum(np.where(m, h, 0)), np.cumsum(np.where(m, v, 0))
         c_all = np.cumsum(h + v)
         for k in np.flatnonzero(m & (h + v > 0)):
-            parts.append((s, ch[k], cv[k], c_all[k]))
-    return tuple(np.array([p[i] for p in parts], dtype=np.int32).reshape(-1) for i in range(4))
+            parts.append((ch[k], cv[k], c_all[k]))
+        start.append(len(parts))
+    return np.array(start), tuple(
+        np.array([p[i] for p in parts], dtype=np.int32).reshape(-1) for i in range(3))
 
 
 def _assert_same_trajectory(a, b, context=""):
@@ -490,11 +493,11 @@ def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
     slots = np.arange(n_h.size) // cycles
     expected, expected_rows = _expected_trajectory(
         _reference_trajectory(slots, n_h, n_v, mask, bits.size, bits, channel, mode))
-    events = _events(n_h, n_v, mask, cycles)
+    start, events = _events(n_h, n_v, mask, cycles)
     for name, chunk in CHUNK_CELLS.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
-            got = _build_trajectory([events], bits.size, bits, channel, mode)
+            got = _build_trajectory([events], start, bits, channel, mode)
             rows = _rows(got)
         _assert_same_trajectory(got, expected, context=f"chunk size {name}: ")
         _assert_same_rows(rows, expected_rows, context=f"chunk size {name}: ")
@@ -536,8 +539,8 @@ class TestTrajectoryReference:
         n_v = np.zeros(8, dtype=np.int64)
         mask = np.ones(8, dtype=bool)
         bits = np.array([1, 0, 1, 0], dtype=np.int64)
-        traj = _build_trajectory([_events(n_h, n_v, mask, 2)], bits.size, bits,
-                                 _channel(), "running-mean")
+        start, ev = _events(n_h, n_v, mask, 2)
+        traj = _build_trajectory([ev], start, bits, _channel(), "running-mean")
         assert traj.budget.size == 4 and traj.used_midpoint.all()
         assert {row["threshold"] for row in traj.curve_rows()} == {"midpoint"}
         assert traj.snapshot_budget[-1] == 3
@@ -601,10 +604,10 @@ class TestTrajectoryStorage:
         n_h = np.array([1, 0, 2, 1], dtype=np.int64)
         n_v = np.array([0, 1, 1, 0], dtype=np.int64)
         bits = np.array([1, 0], dtype=np.int64)
-        ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
-        wide = (ev[0],) + tuple(a.astype(np.int64) for a in ev[1:])
-        narrow = _build_trajectory([ev], 2, bits, _channel(), "running-mean")
-        traj = _build_trajectory([wide], 2, bits, _channel(), "running-mean")
+        start, ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
+        wide = tuple(a.astype(np.int64) for a in ev)
+        narrow = _build_trajectory([ev], start, bits, _channel(), "running-mean")
+        traj = _build_trajectory([wide], start, bits, _channel(), "running-mean")
         _assert_same_trajectory(traj, narrow)
         rows, narrow_rows = _rows(traj), _rows(narrow)
         assert rows[2].dtype == np.int64 and narrow_rows[2].dtype == np.int32
@@ -616,11 +619,11 @@ class TestTrajectoryStorage:
         n_h = np.array([1, 0, 2, 1], dtype=np.int64)
         n_v = np.array([0, 1, 1, 0], dtype=np.int64)
         bits = np.array([1, 0], dtype=np.int64)
-        ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
-        split = int(np.searchsorted(ev[0], 1))
+        start, ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
+        split = int(start[1])
         events = [tuple(a[:split] for a in ev), tuple(a[split:] for a in ev)]
-        joined = _build_trajectory([ev], 2, bits, _channel(), "running-mean")
-        traj = _build_trajectory(events, 2, bits, _channel(), "running-mean")
+        joined = _build_trajectory([ev], start, bits, _channel(), "running-mean")
+        traj = _build_trajectory(events, start, bits, _channel(), "running-mean")
         assert events == []
         _assert_same_trajectory(traj, joined)
         _assert_same_rows(_rows(traj), _rows(joined))
@@ -649,12 +652,13 @@ class TestTrajectoryStorage:
         ev_ch = ch.ravel()
         ev_cv = (ct - ch).ravel()
         ev_all = (2 * ct).ravel()
+        start = np.arange(n_slots + 1) * per_slot
         bits = rng.integers(0, 2, n_slots)
         channel = _channel()
         assert 2_500 < ct.max() < 6_000
         tracemalloc.start()
         try:
-            traj = _build_trajectory([(ev_slot, ev_ch, ev_cv, ev_all)], n_slots, bits,
+            traj = _build_trajectory([(ev_ch, ev_cv, ev_all)], start, bits,
                                      channel, "running-mean")
             n_changes = sum(block[0].size for block in traj.change_rows())
             _, peak = tracemalloc.get_traced_memory()
@@ -663,6 +667,34 @@ class TestTrajectoryStorage:
         assert traj.budget.size == ct.max() + 1
         assert n_changes >= ev_slot.size + n_slots
         assert peak < 24 * 2**20
+
+    def test_the_build_adds_only_the_joined_count_fields_per_event(self):
+        # 256 slots of int16 events, one photon per event.  Above the arrays
+        # it is handed, the build holds the joined H, V and all-photon fields
+        # (6 B per event), one chunk's window and the per-budget curves.  An
+        # events-long slot column, sort order or retained total would add
+        # 10 B per event more; the build once held all three.
+        import tracemalloc
+
+        n_slots = 256
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n_events in (2**19, 2**21):
+            per_slot = n_events // n_slots
+            ct = np.tile(np.arange(1, per_slot + 1), (n_slots, 1))
+            ch = np.cumsum(rng.integers(0, 2, size=ct.shape), axis=1)
+            fields = tuple(a.ravel().astype(np.int16) for a in (ch, ct - ch, 2 * ct))
+            start = np.arange(n_slots + 1) * per_slot
+            bits = rng.integers(0, 2, n_slots)
+            tracemalloc.start()
+            try:
+                traj = _build_trajectory([fields], start, bits, _channel(), "running-mean")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.budget.size == per_slot + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < (2**21 - 2**19) * (3 * 2 + 2)
 
     def test_a_slot_many_blocks_long_costs_a_block_not_a_slot(self, monkeypatch):
         # Seven slots, each many blocks long.  When the draw hands its
