@@ -30,6 +30,13 @@ ARGMIN_BLOCK_PAIRS = 128
 # usual small max_photons never pays for the extra pass.
 POISSON_STOP_CHECK = 16
 
+# poisson_bracket's decision margin (the delta of its docstring), the largest
+# mean it brackets (exp(-700) is still a normal float) and the last level it
+# decides; its docstring derives all three.
+CDF_SLACK = 2.0**-40
+BRACKET_MAX_RATE = 700.0
+BRACKET_MAX_LEVEL = 1024
+
 # Philox4x32-10 constants (multipliers and Weyl key increments).
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -148,6 +155,81 @@ def poisson_counts(u: np.ndarray, lam: np.ndarray, max_photons: int):
             n += (max_photons - k) * (u > cdf)
             break
     return n, np.greater(u, cdf, out=above)
+
+
+def poisson_bracket(u: np.ndarray, lam_lo: np.ndarray, lam_hi: np.ndarray, max_photons: int):
+    """poisson_counts for every pulse whose count and clamp are the same at
+    every mean in [lam_lo, lam_hi].
+
+    u, lam_lo and lam_hi are 1-D arrays of one length, lam_lo <= lam_hi.
+    The poisson_counts recurrence runs at both ends; c_k(lam) is its CDF
+    after level k.  Level k is counted (u > c_k(lam)) for every lam in the
+    range when u > c_k(lam_lo) + delta, and for none when
+    u <= c_k(lam_hi) - delta, with delta = CDF_SLACK.  Level max_photons
+    decides the clamp the same way.  A pulse is decided when every level up
+    to max_photons is; one with lam_hi > BRACKET_MAX_RATE, or that may still
+    count level BRACKET_MAX_LEVEL < max_photons, is not.  Returns
+    (counts int64, clamped bool, decided bool); counts and clamped are
+    poisson_counts' wherever decided, and mean nothing elsewhere.
+
+    c_k never decreases in k, so once no decided pulse may count level k,
+    none counts a later one and every count is final.  The loop stops at
+    the first such level, so its length follows the counts, not
+    max_photons.
+
+    Why delta suffices.  Let F_k be the exact Poisson CDF, which decreases
+    in lam, and u' = 2**-53.  With lam <= BRACKET_MAX_RATE, p_0 = exp(-lam)
+    is normal.  Taking exp within 4 ulp (2**-50 relative, a wide margin over
+    numpy's float64 exp), k divides and k multiplies put p_k within
+    (8 + 2k) u' of its value relative, and the k adds move c_k by at most
+    u' each, so
+    |c_k - F_k| <= E_k = (3k + 9) u'.  Terms that fall into subnormals
+    after the peak add under 2**-1074 each, inside the 9.  So
+    c_k(lam_lo) >= F_k(lam_lo) - E_k >= F_k(lam) - E_k >= c_k(lam) - 2 E_k,
+    and the same bound from above at lam_hi.  Rounding c_k +- delta moves
+    it by at most 2 u', so a level decided here is decided the same way at
+    lam once delta >= 2 E_k + 2 u', that is 6k + 20 <= 2**13, which holds
+    for every k <= BRACKET_MAX_LEVEL.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    lo = np.asarray(lam_lo, dtype=np.float64)
+    hi = np.asarray(lam_hi, dtype=np.float64)
+    undecided = ~(hi <= BRACKET_MAX_RATE)
+    if undecided.any():
+        # Finite stand-ins keep inf and nan out of the recurrence.
+        lo, hi = np.where(undecided, 0.0, lo), np.where(undecided, 0.0, hi)
+    # The same in-place operations, in the same order, as poisson_counts.
+    p_lo, p_hi = np.negative(lo), np.negative(hi)
+    np.exp(p_lo, out=p_lo)
+    np.exp(p_hi, out=p_hi)
+    c_lo, c_hi = p_lo.copy(), p_hi.copy()
+    n = np.zeros(u.shape, dtype=np.int64)
+    above, maybe, split = (np.empty(u.shape, dtype=bool) for _ in range(3))
+    step = np.empty(u.shape)
+    last = min(max_photons, BRACKET_MAX_LEVEL)
+    for k in range(last + 1):
+        # above: level k is counted; maybe: it may be.  They differ where
+        # level k is undecided.  step doubles as scratch for the edges.
+        np.greater(u, np.add(c_lo, CDF_SLACK, out=step), out=above)
+        np.greater(u, np.subtract(c_hi, CDF_SLACK, out=step), out=maybe)
+        undecided |= np.not_equal(above, maybe, out=split)
+        if k == max_photons:
+            break
+        n += above
+        if k == last:
+            undecided |= maybe
+            break
+        if not np.greater(maybe, undecided, out=split).any():
+            # No decided pulse can count a later level: every count is final.
+            above[:] = False
+            break
+        np.divide(lo, k + 1, out=step)
+        p_lo *= step
+        c_lo += p_lo
+        np.divide(hi, k + 1, out=step)
+        p_hi *= step
+        c_hi += p_hi
+    return n, above, ~undecided
 
 
 def _range_bound(lo, hi, g):

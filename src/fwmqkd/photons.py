@@ -14,6 +14,7 @@ independent of batch boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,11 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from ._kernels import STREAM_DETECTOR, poisson_counts, pulse_randoms
+from ._kernels import STREAM_DETECTOR, poisson_bracket, poisson_counts, pulse_randoms
 from .errors import DegenerateInputError, ParameterError
 
 VOLTS_PER_PHOTON = 0.6
 SIPM_NOISE_VOLTS = 0.05
+
+# The gain map is tabulated at u = j / GAIN_KNOTS, and each cell's gain
+# bracket is widened by GAIN_SLACK relative at both ends (see gain_cells).
+GAIN_KNOTS = 1 << 12
+GAIN_SLACK = 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -116,13 +122,83 @@ def counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfi
     """Map one batch of pulse uniforms to clamped port counts.
 
     Each port's Poisson mean is the gain times its port_rates share,
-    gain * rate.  rate_h and rate_v are scalars or per-pulse arrays.
-    Returns (n_h, n_v, clamped), clamped where either port clamped.
+    gain * rate.  u_gain, u_h and u_v are 1-D arrays of uniforms in [0, 1);
+    rate_h and rate_v are scalars or per-pulse arrays.  Returns
+    (n_h, n_v, clamped), clamped where either port clamped.
+
+    At g2 > 1 the counts are poisson_counts(u, gain * rate) without the
+    gain: a pulse in knot cell j = floor(u_gain * GAIN_KNOTS) has its gain
+    inside gain_cells' bracket [lo_j, hi_j], and rounding is monotone, so
+    its means lie in [lo_j * rate, hi_j * rate].  poisson_bracket decides
+    every level at both ends of that range, and a decided count equals the
+    exact one.  Only a pulse that either port leaves undecided, or that
+    lies in the last cell, whose gain is unbounded, takes the exact path:
+    gain_from_uniform, then poisson_counts, on that subset alone.  Both are
+    elementwise, so the subset gets the bits the whole batch would.  At
+    g2 = 1, or when the table fails its check, every pulse takes that path.
     """
+    g2 = config.g2_target
+    cells = gain_cells(g2) if g2 > 1.0 else None
+    if cells is None:
+        return _exact_counts(u_gain, u_h, u_v, rate_h, rate_v, config)
+    u_gain = np.asarray(u_gain, dtype=np.float64)
+    cell = (u_gain * GAIN_KNOTS).astype(np.intp)
+    lo, hi = cells[0][cell], cells[1][cell]
+    n_h, clamped_h, decided_h = poisson_bracket(u_h, lo * rate_h, hi * rate_h, config.max_photons)
+    n_v, clamped_v, decided_v = poisson_bracket(u_v, lo * rate_v, hi * rate_v, config.max_photons)
+    clamped = clamped_h | clamped_v
+    redo = np.flatnonzero(~(decided_h & decided_v) | (cell == GAIN_KNOTS - 1))
+    if redo.size:
+        n_h[redo], n_v[redo], clamped[redo] = _exact_counts(
+            u_gain[redo], u_h[redo], u_v[redo], _pick(rate_h, redo), _pick(rate_v, redo), config)
+    return n_h, n_v, clamped
+
+
+def _exact_counts(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfig):
+    """Every pulse's gain from gain_from_uniform, then both Poisson draws."""
     gain = gain_from_uniform(u_gain, config.g2_target)
     n_h, clamped_h = poisson_counts(u_h, gain * rate_h, config.max_photons)
     n_v, clamped_v = poisson_counts(u_v, gain * rate_v, config.max_photons)
     return n_h, n_v, clamped_h | clamped_v
+
+
+def _pick(rate, idx):
+    """A scalar rate, or a per-pulse rate array's entries at idx."""
+    rate = np.asarray(rate, dtype=np.float64)
+    return rate if rate.ndim == 0 else rate[idx]
+
+
+@functools.lru_cache(maxsize=8)
+def gain_cells(g2: float):
+    """Gain brackets (lo, hi) of the GAIN_KNOTS cells of u, or None.
+
+    With G_j = gain_from_uniform(j / GAIN_KNOTS, g2), cell j covers
+    u in [j / GAIN_KNOTS, (j + 1) / GAIN_KNOTS) and gets
+    lo_j = G_j * (1 - GAIN_SLACK) and hi_j = G_{j+1} * (1 + GAIN_SLACK).
+    The last cell's G_{j+1} would be gammaincinv(a, 1) = inf; its hi is a
+    finite placeholder, since counts_from_rates sends that cell to the exact
+    path.  The knots are exact (GAIN_KNOTS is a power of two) and so is the
+    cell index floor(u * GAIN_KNOTS).
+
+    The bracket holds every computed gain of its cell as long as
+    gammaincinv(a, .) never decreases by more than GAIN_SLACK / 2 relative
+    from one u to a larger one.  gammaincinv is not monotone to the last
+    bit: its value wobbles by up to a few hundred ulps (about 5e-14
+    relative was the most seen, at g2 = 50), and a u one ulp past a knot can
+    give a gain just below the knot's, so an unwidened bracket would not
+    hold.  Every table
+    is checked to have finite, non-decreasing knots; if one does not, this
+    returns None and every pulse takes the exact path.  Both arrays are
+    read-only, 64 KiB in all, built on first use of each g2.
+    """
+    g = gain_from_uniform(np.arange(GAIN_KNOTS) / GAIN_KNOTS, g2)
+    if not (np.all(np.isfinite(g)) and np.all(np.diff(g) >= 0.0)):
+        return None
+    lo = g * (1.0 - GAIN_SLACK)
+    hi = np.append(g[1:], g[-1]) * (1.0 + GAIN_SLACK)
+    for a in (lo, hi):
+        a.flags.writeable = False
+    return lo, hi
 
 
 def compute_g2(total_counts) -> float:

@@ -253,6 +253,7 @@ def _energy_grid(section: dict) -> np.ndarray:
         raise ConfigError("spectra.points must be at least 2")
     if not section["e_min"] < section["e_max"]:
         raise ConfigError("spectra.e_min must be below e_max")
+    _check_span("spectra.e_min", section["e_min"], "spectra.e_max", section["e_max"])
     return np.linspace(section["e_min"], section["e_max"], int(section["points"]))
 
 
@@ -261,7 +262,16 @@ def _wavelength_grid(section: dict) -> np.ndarray:
         raise ConfigError("a wavelength grid needs at least 2 points")
     if not section["lambda_min"] < section["lambda_max"]:
         raise ConfigError("lambda_min must be below lambda_max")
+    _check_span("lambda_min", section["lambda_min"], "lambda_max", section["lambda_max"])
     return np.linspace(section["lambda_min"], section["lambda_max"], int(section["points"]))
+
+
+def _check_span(lo_name: str, lo: float, hi_name: str, hi: float) -> None:
+    """A linspace grid needs finite ends and a finite span: past 1.8e308
+    the step overflows and the grid fills with inf and nan."""
+    if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
+        raise ConfigError(f"{lo_name} and {hi_name} must be finite and less than "
+                          f"1.8e308 apart, got {lo!r} and {hi!r}")
 
 
 def run_spectra(config: dict, out_dir: Path) -> list[Path]:

@@ -456,6 +456,20 @@ class TestCommonBehavior:
         assert err.startswith("error: grid steps give") and err.count("\n") == 1
         assert not (run_cli.cwd / "out").exists()
 
+    @pytest.mark.parametrize("command,section", [
+        ("spectra", {"spectra": {"e_min": -1e308, "e_max": 1e308}}),
+        ("contrast-map", {"contrast_map": {"lambda_min": -1e308, "lambda_max": 1e308}}),
+    ], ids=["spectra", "contrast-map"])
+    def test_a_grid_span_past_the_float_range_is_rejected(self, run_cli, tmp_path, capsys,
+                                                          command, section):
+        # Each end is finite but max - min overflows, which used to fill the
+        # grid with inf and nan.
+        cfg = _write_config(tmp_path / "c.json", section)
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not (run_cli.cwd / "out").exists()
+
     # Inputs the library rejects with MessageEncodingError or
     # DegenerateInputError, which are not ConfigError subclasses.
     @pytest.mark.parametrize("command,section", [

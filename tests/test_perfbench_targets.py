@@ -14,14 +14,14 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = _targets()
+TARGETS = _spans().TARGETS
 
 
 def test_the_tracer_has_targets():
@@ -33,3 +33,22 @@ def test_the_tracer_has_targets():
 def test_every_traced_function_resolves(layer, module_name, attr):
     func = getattr(importlib.import_module(module_name), attr, None)
     assert callable(func), f"{layer}: {module_name}.{attr} is gone"
+
+
+def test_a_default_detector_check_still_calls_gain_from_uniform(run_cli):
+    # At g2 > 1 only the pulses the gain-knot bracket leaves undecided reach
+    # gain_from_uniform.  With the table already cached, a traced run must
+    # still show those calls, so the layer cannot silently read 0.
+    from fwmqkd.config import DEFAULTS
+    from fwmqkd.photons import gain_cells
+
+    assert DEFAULTS["detector_check"]["g2_target"] > 1.0
+    gain_cells(DEFAULTS["detector_check"]["g2_target"])
+    with _spans().Tracer() as tracer:
+        assert run_cli("detector-check", "--out", "out") == 0
+    calls = [s for s in tracer.spans if s[0] == "photons.gain_from_uniform"]
+    pulses = 2 * DEFAULTS["detector_check"]["pulses"]
+    draws = tracer.counts["kernels.poisson_counts.draws"]
+    assert calls and tracer.self_times()["photons.gain_from_uniform"] > 0.0
+    # Each fallback pulse is drawn once per port, and they are a small share.
+    assert 0 < draws < 0.01 * 2 * pulses

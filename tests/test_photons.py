@@ -1,8 +1,11 @@
 """Gain mixing, per-port Poisson counts, contrast reduction, and the SiPM model."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import astuple
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -11,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fwmqkd import session
+from fwmqkd import _kernels, photons, session
 from fwmqkd._kernels import (
+    BRACKET_MAX_LEVEL,
+    BRACKET_MAX_RATE,
+    CDF_SLACK,
     POISSON_STOP_CHECK,
     STREAM_DETECTOR,
     STREAM_SESSION,
@@ -24,12 +30,16 @@ from fwmqkd.photons import (
     AttenuationConfig,
     ContrastStats,
     Resolution,
+    GAIN_KNOTS,
+    GAIN_SLACK,
     accumulate_contrast,
     compute_g2,
     contrast_from_tally,
+    counts_from_rates,
     draw_photon_counts,
     emulate_sipm,
     g2_from_tally,
+    gain_cells,
     gain_from_uniform,
     invert_sipm,
     resolution,
@@ -453,3 +463,262 @@ class TestCountsMatchTheOldPerPulsePath:
         u_gain, u_h, u_v, _, _ = pulse_randoms(seed, STREAM_DETECTOR, 0, count)
         want = _old_counts(u_gain, u_h, u_v, np.asarray(i_h), np.asarray(i_v), attenuation)
         _assert_bitwise_equal(astuple(batch), want)
+
+
+def _ref_counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config):
+    """counts_from_rates as it was before the gain-knot bracket: every
+    pulse's gain from gammaincinv, then both Poisson draws."""
+    gain = gain_from_uniform(u_gain, config.g2_target)
+    n_h, clamped_h = poisson_counts(u_h, gain * rate_h, config.max_photons)
+    n_v, clamped_v = poisson_counts(u_v, gain * rate_v, config.max_photons)
+    return n_h, n_v, clamped_h | clamped_v
+
+
+def _cdf_levels(lam, levels):
+    """The CDF after each of levels + 1 steps of poisson_counts' recurrence,
+    with its operations in its order: rows are levels 0..levels."""
+    lam = np.asarray(lam, dtype=np.float64)
+    p = np.exp(-lam)
+    cdf = p.copy()
+    out = [cdf.copy()]
+    for k in range(1, levels + 1):
+        p *= lam / k
+        cdf += p
+        out.append(cdf.copy())
+    return np.array(out)
+
+
+BRACKET_G2 = [1.0, 1.0 + 2**-52, 1.01, 1.2, 2.0, 2.5, 3.0, 50.0]
+BRACKET_RATES = [0.0, 1e-300, 0.05, 0.5, 1.0, 5.0, 40.0, 300.0, 746.0]
+
+
+@st.composite
+def _gain_uniforms(draw, n):
+    """u_gain on a knot, one ulp either side of one, at 0, in the last knot
+    cell, or anywhere in [0, 1)."""
+    knots = GAIN_KNOTS
+
+    def one():
+        kind = draw(st.sampled_from(["knot", "below", "above", "zero", "last", "any"]))
+        j = draw(st.integers(1, knots - 1))
+        if kind == "knot":
+            return j / knots
+        if kind == "below":
+            return np.nextafter(j / knots, 0.0)
+        if kind == "above":
+            return np.nextafter(j / knots, 1.0)
+        if kind == "zero":
+            return 0.0
+        if kind == "last":
+            return draw(st.sampled_from([1.0 - 1.0 / knots, 1.0 - 2**-53,
+                                         np.nextafter(1.0 - 1.0 / knots, 1.0)]))
+        return draw(st.integers(0, 2**53 - 1)) * 2**-53
+    return np.array([one() for _ in range(n)])
+
+
+@st.composite
+def _bracket_case(draw):
+    g2 = draw(st.one_of(st.sampled_from(BRACKET_G2), st.floats(1.0 + 2**-52, 50.0)))
+    max_photons = draw(st.one_of(st.sampled_from([1, 5, 16, 17, 100, 120]),
+                                 st.integers(1, 120)))
+    n = draw(st.integers(0, 40))
+    u_gain = draw(_gain_uniforms(n))
+    rate = st.one_of(st.sampled_from(BRACKET_RATES), st.floats(0.0, 800.0))
+    rates = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            rates.append(draw(rate))
+        else:
+            rates.append(np.array([draw(rate) for _ in range(n)]))
+    # Port uniforms anywhere, or within an ulp of one of the pulse's own
+    # computed CDF levels, where a count turns on the last bit.
+    lam = gain_from_uniform(u_gain, g2)
+    ports = []
+    for r in rates:
+        levels = _cdf_levels(lam * r, max_photons)
+        u = np.empty(n)
+        for i in range(n):
+            if draw(st.booleans()):
+                u[i] = draw(st.integers(0, 2**53 - 1)) * 2**-53
+            else:
+                c = levels[draw(st.integers(0, max_photons)), i]
+                u[i] = min(np.nextafter(c, draw(st.sampled_from([0.0, c, 2.0]))), 1.0 - 2**-53)
+        ports.append(u)
+    config = AttenuationConfig(g2_target=g2, max_photons=max_photons)
+    return u_gain, ports[0], ports[1], rates[0], rates[1], config
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bracket_case())
+def test_counts_from_rates_match_the_per_pulse_gain_path(case):
+    _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
+
+
+# --- The two assumptions the bracket's exactness rests on ------------------
+
+
+@pytest.mark.parametrize("g2", [g2 for g2 in BRACKET_G2 if g2 > 1.0])
+def test_every_gain_table_has_finite_non_decreasing_knots(g2):
+    lo, hi = gain_cells(g2)
+    assert lo.shape == hi.shape == (GAIN_KNOTS,)
+    assert not lo.flags.writeable and not hi.flags.writeable
+    knots = gain_from_uniform(np.arange(GAIN_KNOTS) / GAIN_KNOTS, g2)
+    assert np.all(np.isfinite(knots)) and np.all(np.diff(knots) >= 0.0)
+    assert np.all(lo <= knots) and np.all(hi[:-1] >= knots[1:])
+    assert gain_cells(g2) is gain_cells(g2)
+
+
+def test_a_table_that_fails_its_check_sends_every_pulse_to_the_exact_path(monkeypatch):
+    g2 = 1.0 + 2**-40   # a g2 no other test caches
+
+    def decreasing(u, g2):
+        return 1.0 - np.asarray(u)
+
+    def no_bracket(*args):
+        raise AssertionError("the bracket ran without a table")
+
+    monkeypatch.setattr(photons, "gain_from_uniform", decreasing)
+    try:
+        assert gain_cells(g2) is None
+        monkeypatch.undo()
+        monkeypatch.setattr(photons, "poisson_bracket", no_bracket)
+        rng = np.random.default_rng(3)
+        case = (rng.random(500), rng.random(500), rng.random(500), 0.7, 0.3,
+                AttenuationConfig(g2_target=g2))
+        _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
+    finally:
+        gain_cells.cache_clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(g2=st.one_of(st.sampled_from(BRACKET_G2[1:]), st.floats(1.0 + 2**-52, 50.0)),
+       data=st.data())
+def test_every_gain_lies_inside_its_cell_bracket(g2, data):
+    # gammaincinv(a, .) wobbles by a few ulps, so a u just past a knot can
+    # give a gain below the knot's; GAIN_SLACK must cover that.
+    u = data.draw(_gain_uniforms(50))
+    u = u[u < 1.0 - 1.0 / GAIN_KNOTS]
+    cell = (u * GAIN_KNOTS).astype(np.intp)
+    lo, hi = gain_cells(g2)
+    gain = gain_from_uniform(u, g2)
+    assert np.all(lo[cell] <= gain) and np.all(gain <= hi[cell])
+
+
+def test_gain_wobble_is_far_inside_the_slack():
+    # Every u within 64 ulps of a knot: the largest relative step back from
+    # the knot's gain, which GAIN_SLACK / 2 bounds in gain_cells' argument.
+    worst = 0.0
+    for g2 in BRACKET_G2[1:]:
+        knots = gain_from_uniform(np.arange(1, GAIN_KNOTS) / GAIN_KNOTS, g2)
+        for d in range(1, 65):
+            u = np.arange(1, GAIN_KNOTS) / GAIN_KNOTS
+            after = gain_from_uniform(u + d * 2**-53, g2)
+            before = gain_from_uniform(u - d * 2**-53, g2)
+            scale = np.where(knots > 0.0, knots, 1.0)
+            worst = max(worst, ((knots - after) / scale).max(), ((before - knots) / scale).max())
+    assert worst < GAIN_SLACK / 2**16
+
+
+def _cdf_error_bound(k):
+    """poisson_bracket's bound on the computed CDF's error at level k."""
+    return (3 * k + 9) * 2.0**-53
+
+
+def test_the_slack_covers_twice_the_error_bound_at_every_decided_level():
+    assert 2 * _cdf_error_bound(BRACKET_MAX_LEVEL) + 2 * 2.0**-53 <= CDF_SLACK
+    assert np.exp(-BRACKET_MAX_RATE) >= np.finfo(np.float64).tiny
+
+
+def _exact_cdfs(lam, levels):
+    """The Poisson CDF of the float lam at levels 0..levels, to 50 digits."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(float(lam))
+        term = mpmath.exp(-lam)
+        total = term
+        out = [total]
+        for k in range(1, levels + 1):
+            term = term * lam / k
+            total += term
+            out.append(total)
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.one_of(st.sampled_from([0.0, 1e-300, 2**-30, 0.5, 1.0, 7.5, 120.0,
+                                      BRACKET_MAX_RATE]),
+                     st.floats(0.0, BRACKET_MAX_RATE)),
+       max_photons=st.integers(1, 120))
+def test_the_computed_cdf_is_within_half_the_slack(lam, max_photons):
+    computed = _cdf_levels(np.array([lam]), max_photons)[:, 0]
+    for k, (c, exact) in enumerate(zip(computed, _exact_cdfs(lam, max_photons))):
+        err = abs(mpmath.mpf(float(c)) - exact)
+        assert err <= _cdf_error_bound(k) <= CDF_SLACK / 2, (lam, k, float(err))
+
+
+@pytest.mark.parametrize("lam", [0.3, 350.0, BRACKET_MAX_RATE])
+def test_the_cdf_error_bound_holds_up_to_the_last_decided_level(lam):
+    computed = _cdf_levels(np.array([lam]), BRACKET_MAX_LEVEL)[:, 0]
+    for k, (c, exact) in enumerate(zip(computed, _exact_cdfs(lam, BRACKET_MAX_LEVEL))):
+        assert abs(mpmath.mpf(float(c)) - exact) <= _cdf_error_bound(k), (lam, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.0, 50.0), k=st.integers(0, 40))
+def test_the_cdf_helper_is_poisson_counts_recurrence(lam, k):
+    # A uniform at c_k stops at level k or below; one ulp above, past it.
+    c = _cdf_levels(np.array([lam]), k)[k]
+    n, _ = poisson_counts(c, np.array([lam]), k + 1)
+    assert n[0] <= k
+    if c[0] < 1.0:
+        n, _ = poisson_counts(np.nextafter(c, 2.0), np.array([lam]), k + 1)
+        assert n[0] == k + 1
+
+
+# --- No floating-point warnings on any path --------------------------------
+
+NO_WARNING_G2 = [1.0 + 2**-52, 1.2, 50.0]
+
+
+@pytest.mark.parametrize("g2", NO_WARNING_G2)
+def test_counts_from_rates_warns_about_nothing(g2, capfd):
+    last = [1.0 - 2**-53, 1.0 - 1.0 / GAIN_KNOTS]
+    u_gain = np.array(last + [0.0, 0.5, 1.0 / GAIN_KNOTS, 0.999])
+    u = np.linspace(0.0, 1.0 - 2**-53, u_gain.size)
+    config = AttenuationConfig(g2_target=g2, max_photons=100)
+    # A zero rate against the last cell's unbounded gain, and means far past
+    # BRACKET_MAX_RATE.
+    for rate_h, rate_v in [(0.0, 1.0), (np.array([0.0, 5.0, 0.0, 1e-300, 800.0, 1.0]), 0.3),
+                           (1e300, 1.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = counts_from_rates(u_gain, u, u[::-1], rate_h, rate_v, config)
+        _assert_bitwise_equal(got, _ref_counts_from_rates(u_gain, u, u[::-1], rate_h, rate_v,
+                                                          config))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("g2", NO_WARNING_G2)
+def test_a_small_detector_check_warns_about_nothing(g2, run_cli, tmp_path, capfd):
+    pulses = 4000
+    # Pulses 0..2 * pulses draw the counts; at least one is in the last cell.
+    u_gain = pulse_randoms(6, STREAM_DETECTOR, 0, 2 * pulses)[0]
+    assert np.any(u_gain >= 1.0 - 1.0 / GAIN_KNOTS)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"detector_check": {{"pulses": {pulses}, "g2_target": {g2!r}}}}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("detector-check", "--config", cfg, "--seed", 6, "--out", "out") == 0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_pulses_past_the_last_decided_level_take_the_exact_path(cap, monkeypatch):
+    # Shrink BRACKET_MAX_LEVEL below max_photons so the cap, not the clamp,
+    # ends the loop for every pulse that may count past it.
+    monkeypatch.setattr(_kernels, "BRACKET_MAX_LEVEL", cap)
+    rng = np.random.default_rng(cap)
+    for g2, mean, max_photons in [(1.2, 1.0, 20), (2.5, 5.0, 9), (50.0, 0.5, 120)]:
+        case = (rng.random(3000), rng.random(3000), rng.random(3000), 0.8 * mean,
+                rng.random(3000) * mean,
+                AttenuationConfig(mean_total_photons=mean, g2_target=g2, max_photons=max_photons))
+        _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
