@@ -343,23 +343,21 @@ def resolution(stats_a: ContrastStats, stats_b: ContrastStats) -> Resolution:
     return Resolution(num / denom, False)
 
 
-def emulate_sipm(counts, noise_u=None, volts_per_photon: float = VOLTS_PER_PHOTON,
-                 noise_volts: float = SIPM_NOISE_VOLTS):
-    """Convert photon counts to detector voltages.
+def emulate_sipm(counts, noise_u=None):
+    """Convert photon counts to detector voltages, VOLTS_PER_PHOTON each.
 
     noise_u, when given, is a uniform array mapped through the normal
-    quantile to gaussian jitter of width noise_volts.  With the defaults the
-    jitter is a twelfth of the single-photon step, so a misround needs a six
-    sigma excursion.
+    quantile to gaussian jitter of width SIPM_NOISE_VOLTS, a twelfth of the
+    single-photon step, so a misround needs a six sigma excursion.
     """
-    volts = np.asarray(counts, dtype=np.float64) * volts_per_photon
+    volts = np.asarray(counts, dtype=np.float64) * VOLTS_PER_PHOTON
     if noise_u is not None:
         u = np.clip(np.asarray(noise_u, dtype=np.float64), 1e-16, 1.0 - 1e-16)
-        volts = volts + noise_volts * ndtri(u)
+        volts = volts + SIPM_NOISE_VOLTS * ndtri(u)
     return volts
 
 
-def invert_sipm(volts, volts_per_photon: float = VOLTS_PER_PHOTON) -> np.ndarray:
+def invert_sipm(volts) -> np.ndarray:
     """Recover photon numbers from voltages by rounding to the nearest step."""
-    counts = np.rint(np.asarray(volts, dtype=np.float64) / volts_per_photon)
+    counts = np.rint(np.asarray(volts, dtype=np.float64) / VOLTS_PER_PHOTON)
     return np.maximum(counts, 0.0).astype(np.int64)

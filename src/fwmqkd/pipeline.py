@@ -248,37 +248,29 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int, files: 
     return manifest
 
 
-def _energy_grid(section: dict) -> np.ndarray:
+def _grid(config: dict, key: str, lo_key: str, hi_key: str) -> np.ndarray:
+    """The points-long linspace from config[key][lo_key] to its hi_key.
+
+    The ends must be finite and their span too: past 1.8e308 the step
+    overflows and the grid fills with inf and nan.
+    """
+    section = config[key]
+    lo, hi = section[lo_key], section[hi_key]
     if section["points"] < 2:
-        raise ConfigError("spectra.points must be at least 2")
-    if not section["e_min"] < section["e_max"]:
-        raise ConfigError("spectra.e_min must be below e_max")
-    _check_span("spectra.e_min", section["e_min"], "spectra.e_max", section["e_max"])
-    return np.linspace(section["e_min"], section["e_max"], int(section["points"]))
-
-
-def _wavelength_grid(section: dict) -> np.ndarray:
-    if section["points"] < 2:
-        raise ConfigError("a wavelength grid needs at least 2 points")
-    if not section["lambda_min"] < section["lambda_max"]:
-        raise ConfigError("lambda_min must be below lambda_max")
-    _check_span("lambda_min", section["lambda_min"], "lambda_max", section["lambda_max"])
-    return np.linspace(section["lambda_min"], section["lambda_max"], int(section["points"]))
-
-
-def _check_span(lo_name: str, lo: float, hi_name: str, hi: float) -> None:
-    """A linspace grid needs finite ends and a finite span: past 1.8e308
-    the step overflows and the grid fills with inf and nan."""
+        raise ConfigError(f"{key}.points must be at least 2")
+    if not lo < hi:
+        raise ConfigError(f"{key}.{lo_key} must be below {hi_key}")
     if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
-        raise ConfigError(f"{lo_name} and {hi_name} must be finite and less than "
+        raise ConfigError(f"{key}.{lo_key} and {key}.{hi_key} must be finite and less than "
                           f"1.8e308 apart, got {lo!r} and {hi!r}")
+    return np.linspace(lo, hi, int(section["points"]))
 
 
 def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     """One CSV per (delay, tensor condition) over the detection-energy grid."""
     section = config["spectra"]
     params = model_params_from(config)
-    energies = _energy_grid(section)
+    energies = _grid(config, "spectra", "e_min", "e_max")
     conditions = [Condition.from_string(name) for name in section["conditions"]]
     t_list = list(section["t_list"])
     for key, values in (("t_list", t_list), ("conditions", conditions)):
@@ -319,7 +311,7 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     section = config["contrast_map"]
     params = model_params_from(config)
     xi = grid_spec_from(config).xi
-    lams = _wavelength_grid(section)
+    lams = _grid(config, "contrast_map", "lambda_min", "lambda_max")
     t_list = list(section["t_list"])
     if not t_list:
         raise ConfigError("contrast_map.t_list must not be empty")

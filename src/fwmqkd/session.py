@@ -303,13 +303,7 @@ class Trajectory:
             b = min(a + n_block, start.size - 1)
             first = start[a:b]
             idx = _window(ev_h, ev_v, first, start[a + 1:b + 1], 0, n_rows)
-            seen = idx >= first
-            hit = idx[seen]
-            h, v = ev_h[hit], ev_v[hit]
-            photons = np.zeros(idx.shape, dtype=ev_h.dtype)
-            photons[seen] = ct = h + v
-            p = np.full(idx.shape, np.nan)
-            p[seen] = (h - v) / ct
+            _, photons, p = _cells(idx, first, ev_h, ev_v)
             estimate = _compare(p, self.threshold[:, None], self.orientation)
             changed = np.empty(idx.shape, dtype=bool)
             changed[0] = True
@@ -400,7 +394,7 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     # Per slot: retained H and V photons, every photon, and events, so far.
     slot_h, slot_v, slot_all, slot_events = np.zeros((4, n_slots), dtype=np.int64)
     kept = clamped_kept = 0
-    events = []
+    parts = ([], [], [])
     for start in range(0, total_pulses, BLOCK_PULSES):
         count = min(BLOCK_PULSES, total_pulses - start)
         block_kept, block_clamped, block_events = _sift_block(
@@ -408,14 +402,17 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
             (slot_h, slot_v, slot_all, slot_events), count_dtype)
         kept += block_kept
         clamped_kept += block_clamped
-        events.append(block_events)
+        for field_parts, part in zip(parts, block_events):
+            field_parts.append(part)
 
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
 
     start = np.concatenate(([0], np.cumsum(slot_events)))
-    trajectory = _build_trajectory(events, start, bits, channel, config.threshold_mode)
+    # Fields join one at a time, freeing their parts; no name here outlives the build.
+    trajectory = _build_trajectory(*map(_join, parts), start, bits, channel,
+                                   config.threshold_mode)
     snapshots = _snapshots(trajectory)
     converged, budget, retained = _convergence(trajectory)
 
@@ -503,36 +500,22 @@ def _count_dtype(config: SessionConfig) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _filled(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """Float matrix holding values where seen is set and zero elsewhere."""
-    out = np.zeros(seen.shape)
-    out[seen] = values
-    return out
-
-
-def _build_trajectory(events, start, bits, channel, threshold_mode) -> Trajectory:
+def _build_trajectory(ev_ch, ev_cv, ev_all, start, bits, channel, threshold_mode) -> Trajectory:
     """Decode along the photon budget axis, a chunk of budget rows at a time.
 
-    events is a list of per-block tuples of event arrays.  Joined, they hold,
-    in pulse order, the slot's retained H and V running totals and its
-    all-photon running count at every sifted pulse that produced a photon;
-    slot s owns events start[s] to start[s + 1] - 1.  The build empties the
-    list and joins the parts one field at a time, so that it holds the only
-    references to the event arrays, frees each field's parts once they are
-    joined and frees the all-photon field once the pass ends.  Row r of the
-    budget x slot state points each slot at its last event with retained
-    total <= r; _window builds it a chunk of rows at a time, each chunk
-    reading every slot from the first event the chunk before did not reach.
-    Rows decode independently, so decoding chunk by chunk gives the same
-    bits as decoding the whole matrix.
+    The event arrays hold, in pulse order, the slot's retained H and V
+    running totals and its all-photon running count at every sifted pulse
+    that produced a photon; slot s owns events start[s] to start[s + 1] - 1.
+    Row r of the budget x slot state points each slot at its last event with
+    retained total <= r; _window builds it a chunk of rows at a time, each
+    chunk reading every slot from the first event the chunk before did not
+    reach.  Rows decode independently, so decoding chunk by chunk gives the
+    same bits as decoding the whole matrix.
 
     Only the per-budget curves and thresholds, the snapshot rows and the
     retained H and V totals of the events are kept; Trajectory.change_rows
     rebuilds the per-slot history from them when it is asked for.
     """
-    fields = [list(parts) for parts in zip(*events)]
-    events.clear()
-    ev_ch, ev_cv, ev_all = map(_join, fields)
     n_slots = bits.size
     first, end = start[:-1], start[1:]
     # A slot's retained total grows from event to event, so its last is its largest.
@@ -554,18 +537,14 @@ def _build_trajectory(events, start, bits, channel, threshold_mode) -> Trajector
     for lo in range(0, n_rows, rows_per_chunk):
         hi = min(lo + rows_per_chunk, n_rows)
         idx = _window(ev_ch, ev_cv, cursor, end, lo, hi)
-        seen = idx >= first
-        hit = idx[seen]
-        h_mat = _filled(ev_ch[hit], seen)
-        v_mat = _filled(ev_cv[hit], seen)
-        t_mat = h_mat + v_mat
-        with np.errstate(invalid="ignore"):
-            p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-        threshold[lo:hi], used_midpoint[lo:hi] = _row_thresholds(p_mat, channel, threshold_mode)
-        decoded = _compare(p_mat, threshold[lo:hi, None], channel.orientation)
+        seen, photons, p = _cells(idx, first, ev_ch, ev_cv)
+        threshold[lo:hi], used_midpoint[lo:hi] = _row_thresholds(p, channel, threshold_mode)
+        decoded = _compare(p, threshold[lo:hi, None], channel.orientation)
+        all_seen = np.zeros(idx.shape, dtype=ev_all.dtype)
+        all_seen[seen] = ev_all[idx[seen]]
 
-        retained[lo:hi] = t_mat.mean(axis=1)
-        all_photons[lo:hi] = _filled(ev_all[hit], seen).mean(axis=1)
+        retained[lo:hi] = photons.mean(axis=1)
+        all_photons[lo:hi] = all_seen.mean(axis=1)
         accuracy[lo:hi] = (decoded == bits[None, :]).mean(axis=1)
         undecided[lo:hi] = (decoded < 0).sum(axis=1)
         in_chunk = (marks >= lo) & (marks < hi)
@@ -585,6 +564,21 @@ def _join(parts: list) -> np.ndarray:
     joined = np.concatenate(parts)
     parts.clear()
     return joined
+
+
+def _cells(idx, first, ev_h, ev_v):
+    """Each cell of a _window index matrix: whether its slot has reached
+    its first event (first[s]), its retained photons in the count dtype (0
+    before that) and its pooled contrast (NaN there).  An event always adds
+    a retained photon, so a seen cell's total is never 0."""
+    seen = idx >= first
+    hit = idx[seen]
+    h, v = ev_h[hit], ev_v[hit]
+    photons = np.zeros(idx.shape, dtype=ev_h.dtype)
+    photons[seen] = total = h + v
+    p = np.full(idx.shape, np.nan)
+    p[seen] = (h - v) / total
+    return seen, photons, p
 
 
 def _window(ev_h, ev_v, cursor, end, lo: int, hi: int) -> np.ndarray:

@@ -114,7 +114,9 @@ def gaussian_lineshape(energy, u: int, params: ModelParams = DEFAULT_PARAMS):
     """Absorptive part of the resonance at u * delta, unit peak height."""
     e = np.asarray(energy, dtype=np.float64)
     x = (e - u * params.delta) / params.delta
-    return np.exp(-0.5 * x * x)
+    # Far out x * x overflows to inf, and exp(-inf) = 0 is the right value.
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x)
 
 
 def hilbert_of_gaussian(energy, u: int, params: ModelParams = DEFAULT_PARAMS):

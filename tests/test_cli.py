@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,26 @@ class TestCommonBehavior:
         assert run_cli(command, "--config", cfg, "--out", "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not (run_cli.cwd / "out").exists()
+
+    def test_a_huge_finite_grid_runs_without_a_warning(self, run_cli, tmp_path, capsys):
+        # Far out the Gaussian line's x * x overflows to inf; exp(-inf) = 0
+        # is the right value, but numpy used to print an overflow warning.
+        cfg = _write_config(tmp_path / "c.json", {"spectra": {"e_min": 0, "e_max": 1e308}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectra", "--config", cfg, "--out", "s") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,key", [
+        ("spectra", "spectra"),
+        ("contrast-map", "contrast_map"),
+    ])
+    def test_a_one_point_grid_is_rejected_by_its_full_key(self, run_cli, tmp_path, capsys,
+                                                          command, key):
+        cfg = _write_config(tmp_path / "c.json", {key: {"points": 1}})
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        assert capsys.readouterr().err == f"error: {key}.points must be at least 2\n"
         assert not (run_cli.cwd / "out").exists()
 
     # Inputs the library rejects with MessageEncodingError or

@@ -15,6 +15,9 @@ from fwmqkd.config import (
     session_config_from,
 )
 from fwmqkd.errors import ConfigError, SchemaError
+from fwmqkd.reconstruct import GridSpec
+from fwmqkd.session import SessionConfig
+from fwmqkd.spectral import ModelParams
 
 
 def _load(tmp_path, payload):
@@ -27,6 +30,14 @@ def test_missing_path_returns_the_defaults():
     cfg = load_config(None)
     assert cfg == DEFAULTS
     assert cfg is not DEFAULTS
+
+
+def test_the_config_defaults_build_the_library_defaults():
+    # DEFAULTS repeats the dataclass defaults, so the two must not drift.
+    cfg = load_config(None)
+    assert model_params_from(cfg) == ModelParams()
+    assert grid_spec_from(cfg) == GridSpec()
+    assert session_config_from(cfg, 7) == SessionConfig(seed=7)
 
 
 def test_partial_override_merges_deeply(tmp_path):

@@ -497,7 +497,7 @@ def _check_against_reference(n_h, n_v, mask, cycles, bits, mode="running-mean"):
     for name, chunk in CHUNK_CELLS.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "TRAJECTORY_CHUNK_CELLS", chunk(bits.size))
-            got = _build_trajectory([events], start, bits, channel, mode)
+            got = _build_trajectory(*events, start, bits, channel, mode)
             rows = _rows(got)
         _assert_same_trajectory(got, expected, context=f"chunk size {name}: ")
         _assert_same_rows(rows, expected_rows, context=f"chunk size {name}: ")
@@ -540,7 +540,7 @@ class TestTrajectoryReference:
         mask = np.ones(8, dtype=bool)
         bits = np.array([1, 0, 1, 0], dtype=np.int64)
         start, ev = _events(n_h, n_v, mask, 2)
-        traj = _build_trajectory([ev], start, bits, _channel(), "running-mean")
+        traj = _build_trajectory(*ev, start, bits, _channel(), "running-mean")
         assert traj.budget.size == 4 and traj.used_midpoint.all()
         assert {row["threshold"] for row in traj.curve_rows()} == {"midpoint"}
         assert traj.snapshot_budget[-1] == 3
@@ -606,27 +606,13 @@ class TestTrajectoryStorage:
         bits = np.array([1, 0], dtype=np.int64)
         start, ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
         wide = tuple(a.astype(np.int64) for a in ev)
-        narrow = _build_trajectory([ev], start, bits, _channel(), "running-mean")
-        traj = _build_trajectory([wide], start, bits, _channel(), "running-mean")
+        narrow = _build_trajectory(*ev, start, bits, _channel(), "running-mean")
+        traj = _build_trajectory(*wide, start, bits, _channel(), "running-mean")
         _assert_same_trajectory(traj, narrow)
         rows, narrow_rows = _rows(traj), _rows(narrow)
         assert rows[2].dtype == np.int64 and narrow_rows[2].dtype == np.int32
         for x, y in zip(rows, narrow_rows):
             np.testing.assert_array_equal(x, y)
-
-    def test_the_build_takes_the_event_arrays_out_of_its_list(self):
-        # run_session keeps no reference, so the build can free each array
-        n_h = np.array([1, 0, 2, 1], dtype=np.int64)
-        n_v = np.array([0, 1, 1, 0], dtype=np.int64)
-        bits = np.array([1, 0], dtype=np.int64)
-        start, ev = _events(n_h, n_v, np.ones(4, dtype=bool), 2)
-        split = int(start[1])
-        events = [tuple(a[:split] for a in ev), tuple(a[split:] for a in ev)]
-        joined = _build_trajectory([ev], start, bits, _channel(), "running-mean")
-        traj = _build_trajectory(events, start, bits, _channel(), "running-mean")
-        assert events == []
-        _assert_same_trajectory(traj, joined)
-        _assert_same_rows(_rows(traj), _rows(joined))
 
     def test_a_library_session_never_builds_change_rows(self, monkeypatch):
         def refuse(self):
@@ -658,7 +644,7 @@ class TestTrajectoryStorage:
         assert 2_500 < ct.max() < 6_000
         tracemalloc.start()
         try:
-            traj = _build_trajectory([(ev_ch, ev_cv, ev_all)], start, bits,
+            traj = _build_trajectory(ev_ch, ev_cv, ev_all, start, bits,
                                      channel, "running-mean")
             n_changes = sum(block[0].size for block in traj.change_rows())
             _, peak = tracemalloc.get_traced_memory()
@@ -670,10 +656,10 @@ class TestTrajectoryStorage:
 
     def test_the_build_adds_only_the_joined_count_fields_per_event(self):
         # 256 slots of int16 events, one photon per event.  Above the arrays
-        # it is handed, the build holds the joined H, V and all-photon fields
-        # (6 B per event), one chunk's window and the per-budget curves.  An
+        # it is handed, the build holds one chunk's window and the per-budget
+        # curves, nothing per event; the bound allows 8 B per event.  An
         # events-long slot column, sort order or retained total would add
-        # 10 B per event more; the build once held all three.
+        # 10 B per event; the build once held all three.
         import tracemalloc
 
         n_slots = 256
@@ -688,7 +674,7 @@ class TestTrajectoryStorage:
             bits = rng.integers(0, 2, n_slots)
             tracemalloc.start()
             try:
-                traj = _build_trajectory([fields], start, bits, _channel(), "running-mean")
+                traj = _build_trajectory(*fields, start, bits, _channel(), "running-mean")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -697,33 +683,32 @@ class TestTrajectoryStorage:
         assert peaks[1] - peaks[0] < (2**21 - 2**19) * (3 * 2 + 2)
 
     def test_a_slot_many_blocks_long_costs_a_block_not_a_slot(self, monkeypatch):
-        # Seven slots, each many blocks long.  When the draw hands its
-        # events to the trajectory build, the session's peak so far, less
-        # the events it holds, is the pulse block's working memory; it must
-        # not grow with the slot.  A block once held whole slots, so there a
-        # 10x longer slot made each block, and the peak, 10x larger.
-        import sys
+        # Seven slots, each many blocks long.  When the draw loop ends and
+        # its first event field is joined, the session's peak so far, less
+        # all it holds then (the event parts among it), is the pulse block's
+        # working memory; it must not grow with the slot.  A block once held
+        # whole slots, so there a 10x longer slot made each block, and the
+        # peak, 10x larger.
         import tracemalloc
 
         monkeypatch.setattr(session, "BLOCK_PULSES", 512)
-        build = session._build_trajectory
-        overhead = []
+        join = session._join
+        overhead = {}
 
-        def measured(events, *args):
-            _, peak = tracemalloc.get_traced_memory()
-            held = sys.getsizeof(events) + sum(
-                sys.getsizeof(part) + sum(sys.getsizeof(a) for a in part) for part in events)
-            overhead.append(peak - held)
-            return build(events, *args)
+        def measured(parts):
+            if cycles not in overhead:
+                current, peak = tracemalloc.get_traced_memory()
+                overhead[cycles] = peak - current
+            return join(parts)
 
-        monkeypatch.setattr(session, "_build_trajectory", measured)
+        monkeypatch.setattr(session, "_join", measured)
         for cycles in (4_000, 40_000):
             tracemalloc.start()
             try:
                 run_session(SessionConfig(message="A", cycles=cycles, seed=11))
             finally:
                 tracemalloc.stop()
-        assert overhead[1] - overhead[0] < 32 * 2**10
+        assert overhead[40_000] - overhead[4_000] < 32 * 2**10
 
 
 class TestBlockInvariance:
