@@ -404,13 +404,14 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
         clamped_kept += block_clamped
         for field_parts, part in zip(parts, block_events):
             field_parts.append(part)
+    del block_events
 
     slot_total = slot_h + slot_v
     with np.errstate(invalid="ignore"):
         slot_contrast = np.where(slot_total > 0, (slot_h - slot_v) / np.maximum(slot_total, 1), np.nan)
 
     start = np.concatenate(([0], np.cumsum(slot_events)))
-    # Fields join one at a time, freeing their parts; no name here outlives the build.
+    # Fields join one at a time, each freeing its parts before the next joins.
     trajectory = _build_trajectory(*map(_join, parts), start, bits, channel,
                                    config.threshold_mode)
     snapshots = _snapshots(trajectory)

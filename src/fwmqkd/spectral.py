@@ -110,11 +110,17 @@ class ModelParams:
 DEFAULT_PARAMS = ModelParams()
 
 
+def _offset(energy, u: int, params: ModelParams):
+    """(E - u * delta) / delta.  Far out it overflows to +-inf, where both
+    lineshapes come out as their true value 0, so that is no error."""
+    e = np.asarray(energy, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return (e - u * params.delta) / params.delta
+
+
 def gaussian_lineshape(energy, u: int, params: ModelParams = DEFAULT_PARAMS):
     """Absorptive part of the resonance at u * delta, unit peak height."""
-    e = np.asarray(energy, dtype=np.float64)
-    x = (e - u * params.delta) / params.delta
-    # Far out x * x overflows to inf, and exp(-inf) = 0 is the right value.
+    x = _offset(energy, u, params)
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * x * x)
 
@@ -125,8 +131,7 @@ def hilbert_of_gaussian(energy, u: int, params: ModelParams = DEFAULT_PARAMS):
     For a unit Gaussian the transform is (2/sqrt(pi)) * D(x/sqrt(2)) with D
     the Dawson function, up to the overall sign convention.
     """
-    e = np.asarray(energy, dtype=np.float64)
-    x = (e - u * params.delta) / params.delta
+    x = _offset(energy, u, params)
     return params.hilbert_sign * _TWO_OVER_SQRT_PI * dawsn(x / _SQRT2)
 
 

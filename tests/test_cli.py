@@ -471,10 +471,13 @@ class TestCommonBehavior:
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not (run_cli.cwd / "out").exists()
 
-    def test_a_huge_finite_grid_runs_without_a_warning(self, run_cli, tmp_path, capsys):
-        # Far out the Gaussian line's x * x overflows to inf; exp(-inf) = 0
-        # is the right value, but numpy used to print an overflow warning.
-        cfg = _write_config(tmp_path / "c.json", {"spectra": {"e_min": 0, "e_max": 1e308}})
+    @pytest.mark.parametrize("model", [{}, {"delta": 0.5}])
+    def test_a_huge_finite_grid_runs_without_a_warning(self, run_cli, tmp_path, capsys, model):
+        # Far out the distance from a line in widths, or its square,
+        # overflows to inf; the lineshapes are exactly 0 there, but numpy
+        # used to print an overflow warning.
+        cfg = _write_config(tmp_path / "c.json",
+                            {"model": model, "spectra": {"e_min": 0, "e_max": 1e308}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("spectra", "--config", cfg, "--out", "s") == 0

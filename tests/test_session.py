@@ -654,12 +654,13 @@ class TestTrajectoryStorage:
         assert n_changes >= ev_slot.size + n_slots
         assert peak < 24 * 2**20
 
-    def test_the_build_adds_only_the_joined_count_fields_per_event(self):
+    def test_the_build_adds_nothing_per_event(self):
         # 256 slots of int16 events, one photon per event.  Above the arrays
         # it is handed, the build holds one chunk's window and the per-budget
-        # curves, nothing per event; the bound allows 8 B per event.  An
-        # events-long slot column, sort order or retained total would add
-        # 10 B per event; the build once held all three.
+        # curves, nothing per event; the bound allows 2 B per event.  A new
+        # int16 per-event array would fill it, and an events-long slot
+        # column, sort order or retained total would add 10 B per event; the
+        # build once held all three.
         import tracemalloc
 
         n_slots = 256
@@ -680,15 +681,15 @@ class TestTrajectoryStorage:
                 tracemalloc.stop()
             assert traj.budget.size == per_slot + 1
             peaks.append(peak)
-        assert peaks[1] - peaks[0] < (2**21 - 2**19) * (3 * 2 + 2)
+        assert peaks[1] - peaks[0] < (2**21 - 2**19) * 2
 
     def test_a_slot_many_blocks_long_costs_a_block_not_a_slot(self, monkeypatch):
         # Seven slots, each many blocks long.  When the draw loop ends and
         # its first event field is joined, the session's peak so far, less
-        # all it holds then (the event parts among it), is the pulse block's
-        # working memory; it must not grow with the slot.  A block once held
-        # whole slots, so there a 10x longer slot made each block, and the
-        # peak, 10x larger.
+        # the event parts it holds, is the pulse block's working memory; it
+        # must not grow with the slot.  A block once held whole slots, so
+        # there a 10x longer slot made each block, and the peak, 10x larger.
+        import sys
         import tracemalloc
 
         monkeypatch.setattr(session, "BLOCK_PULSES", 512)
@@ -697,8 +698,10 @@ class TestTrajectoryStorage:
 
         def measured(parts):
             if cycles not in overhead:
-                current, peak = tracemalloc.get_traced_memory()
-                overhead[cycles] = peak - current
+                _, peak = tracemalloc.get_traced_memory()
+                # the three fields' parts match in length and dtype
+                held = 3 * (sys.getsizeof(parts) + sum(sys.getsizeof(a) for a in parts))
+                overhead[cycles] = peak - held
             return join(parts)
 
         monkeypatch.setattr(session, "_join", measured)
