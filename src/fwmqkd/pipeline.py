@@ -266,16 +266,25 @@ def _grid(config: dict, key: str, lo_key: str, hi_key: str) -> np.ndarray:
     return np.linspace(lo, hi, int(section["points"]))
 
 
+def _delays(config: dict, key: str) -> list[float]:
+    """config[key]["t_list"], once it holds at least one delay, none of them
+    negative and none twice as floats (so 0.0 and -0.0 are one delay)."""
+    t_list = list(config[key]["t_list"])
+    if not t_list or min(t_list) < 0 or len(set(t_list)) < len(t_list):
+        raise ConfigError(f"{key}.t_list must be a non-empty list of distinct non-negative "
+                          f"delays, got {t_list}")
+    return t_list
+
+
 def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     """One CSV per (delay, tensor condition) over the detection-energy grid."""
     section = config["spectra"]
     params = model_params_from(config)
     energies = _grid(config, "spectra", "e_min", "e_max")
     conditions = [Condition.from_string(name) for name in section["conditions"]]
-    t_list = list(section["t_list"])
-    for key, values in (("t_list", t_list), ("conditions", conditions)):
-        if not values:
-            raise ConfigError(f"spectra.{key} must not be empty")
+    t_list = _delays(config, "spectra")
+    if not conditions:
+        raise ConfigError("spectra.conditions must not be empty")
 
     # File names print the delay with {t:g}, so distinct delays can share a
     # name; reject that before writing rather than overwrite a table.
@@ -308,13 +317,13 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     ratios.csv uses the exact column layout the reconstruct command reads,
     so the two commands chain without editing.
     """
-    section = config["contrast_map"]
     params = model_params_from(config)
     xi = grid_spec_from(config).xi
     lams = _grid(config, "contrast_map", "lambda_min", "lambda_max")
-    t_list = list(section["t_list"])
-    if not t_list:
-        raise ConfigError("contrast_map.t_list must not be empty")
+    if np.unique(lams).size < lams.size:  # ratios.csv would repeat a (T, lambda) cell
+        raise ConfigError("contrast_map.points gives wavelengths that round together "
+                          "between lambda_min and lambda_max")
+    t_list = _delays(config, "contrast_map")
 
     contrasts = []
     gammas = []
@@ -345,8 +354,10 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     return [map_path, ratio_path]
 
 
-def _read_ratio_csv(path: Path) -> list[tuple[float, float, float, float]]:
-    """Parse a ratio table, enforcing the exact four-column schema."""
+def _read_ratio_csv(path: Path) -> np.ndarray:
+    """Parse a ratio table into an (n, 4) float64 array, one row per data
+    line, enforcing the exact four-column schema and finite T_fs and
+    lambda_nm.  Line numbers in messages count the non-blank lines."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -355,101 +366,87 @@ def _read_ratio_csv(path: Path) -> list[tuple[float, float, float, float]]:
     if header != RATIO_COLUMNS:
         missing = [c for c in RATIO_COLUMNS if c not in header]
         extra = [c for c in header if c not in RATIO_COLUMNS]
-        parts = []
-        if missing:
-            parts.append(f"missing columns: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unexpected columns: {', '.join(extra)}")
-        if not parts:
-            parts.append(f"column order must be {', '.join(RATIO_COLUMNS)}")
+        parts = [f"{label}: {', '.join(cols)}" for label, cols in
+                 (("missing columns", missing), ("unexpected columns", extra)) if cols]
+        parts = parts or [f"column order must be {', '.join(RATIO_COLUMNS)}"]
         raise ConfigError(f"input {path} does not match the ratio schema ({'; '.join(parts)})")
     if len(lines) == 1:
         raise ConfigError(f"input {path} has a header but no data rows")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    rows = np.empty((len(lines) - 1, 4))
+    for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != 4:
-            raise ConfigError(f"input {path} line {ln}: expected 4 cells, got {len(cells)}")
+            raise ConfigError(f"input {path} line {i + 2}: expected 4 cells, got {len(cells)}")
         try:
-            rows.append(tuple(float(c) for c in cells))
+            rows[i] = [float(c) for c in cells]
         except ValueError:
-            raise ConfigError(f"input {path} line {ln}: non-numeric cell") from None
+            raise ConfigError(f"input {path} line {i + 2}: non-numeric cell") from None
+    bad_key = ~np.isfinite(rows[:, :2]).all(axis=1)
+    if bad_key.any():
+        raise ConfigError(f"input {path} line {np.argmax(bad_key) + 2}: T_fs and lambda_nm must be finite")
     return rows
 
 
 def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) -> list[Path]:
     """Invert a measured ratio table into a field map over its (T, lambda) grid.
 
-    The input grid is rebuilt from the distinct T and lambda values present;
-    cells that are absent or carry non-finite ratios are written as explicit
-    gaps rather than interpolated.  residuals.json compares the contrast
-    implied by the input ratios against the contrast of the reconstructed
-    fields at both wave plate settings.
+    The grid is every distinct T by every distinct lambda, each spelled as in
+    its first row (0.0 or -0.0); absent cells and cells with non-finite or
+    negative ratios are written as explicit gaps rather than interpolated.
+    residuals.json compares the contrast implied by the input ratios against
+    the contrast of the reconstructed fields at both wave plate settings.
     """
     source = input_path if input_path is not None else config["reconstruct"]["input"]
     if not source:
         raise ConfigError("reconstruct needs an input ratio table (--input or reconstruct.input)")
     rows = _read_ratio_csv(Path(source))
 
-    t_values = sorted({r[0] for r in rows})
-    lam_values = sorted({r[1] for r in rows})
-    cell = {}
-    for t, lam, g0, g45 in rows:
-        key = (t, lam)
-        if key in cell:
-            raise ConfigError(f"input has duplicate rows for T={t:g}, lambda={lam:g}")
-        cell[key] = (g0, g45)
+    _, t_first, t_of = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    _, lam_first, lam_of = np.unique(rows[:, 1], return_index=True, return_inverse=True)
+    t_values, lam_values = rows[t_first, 0], rows[lam_first, 1]
+    n_cells = t_values.size * lam_values.size
+    cell = t_of * lam_values.size + lam_of
+    # Rows that are not the first of their cell, in file order.
+    repeated = np.setdiff1d(np.arange(cell.size), np.unique(cell, return_index=True)[1])
+    if repeated.size:
+        t, lam = rows[repeated[0], :2].tolist()
+        raise ConfigError(f"input has duplicate rows for T={t:g}, lambda={lam:g}")
 
-    keys = [(t, lam) for t in t_values for lam in lam_values]
-    live_keys = [
-        k for k in keys
-        if k in cell and all(math.isfinite(g) and g >= 0 for g in cell[k])
-    ]
+    gamma = np.full((n_cells, 2), np.nan)
+    gamma[cell] = rows[:, 2:]
+    live = (np.isfinite(gamma) & (gamma >= 0)).all(axis=1)
+    pairs = gamma[live]
     grid = grid_spec_from(config)
-    pairs = np.asarray([cell[k] for k in live_keys], dtype=np.float64)
-    results = dict(zip(live_keys, reconstruct_map(pairs, grid) if live_keys else []))
+    results = reconstruct_map(pairs, grid) if live.any() else []
 
-    out_rows = []
-    ports = []
-    p_meas = []
-    n_degenerate = 0
-    for key in keys:
-        t, lam = key
-        res = results.get(key)
-        if res is None:
-            out_rows.append([t, lam, math.nan, math.nan, math.nan, math.nan, "gap"])
-            continue
+    fields = np.full((4, n_cells), np.nan)  # A_H, A_V, phi, SE; NaN in gaps
+    status = np.full(n_cells, "gap", dtype="U5")
+    ports = np.empty((len(results), 2, 2))  # (live cell, setting, port H/V)
+    for k, (i, res) in enumerate(zip(np.flatnonzero(live), results)):
         rec = res.field
-        n_degenerate += int(res.degenerate)
-        out_rows.append([t, lam, rec.a_h, rec.a_v, rec.phi, res.se,
-                         "true" if res.degenerate else "false"])
-        for col, theta in ((0, THETA_SPLIT), (1, THETA_MIX)):
-            gamma = cell[key][col]
-            p_meas.append(2.0 * gamma * (1.0 + grid.xi) / (1.0 + gamma) - 1.0)
+        fields[:, i] = rec.a_h, rec.a_v, rec.phi, res.se
+        status[i] = "true" if res.degenerate else "false"
+        for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
             # Scalar on purpose: the array evaluation differs in the last bit.
-            ports.append(intensity_pair(rec.a_h, rec.a_v, rec.phi, theta))
-    i_h, i_v = np.reshape(ports, (-1, 2)).T
-    residuals = np.abs(polarization_contrast(i_h, i_v) - np.array(p_meas)).tolist()
+            ports[k, s] = intensity_pair(rec.a_h, rec.a_v, rec.phi, theta)
+    p_meas = 2.0 * pairs * (1.0 + grid.xi) / (1.0 + pairs) - 1.0
+    residuals = np.abs(polarization_contrast(ports[..., 0], ports[..., 1]) - p_meas)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"
     write_csv(csv_path, ["T_fs", "lambda_nm", "A_H", "A_V", "phi", "SE", "degenerate"],
-              [list(zip(*out_rows))])
+              [[np.repeat(t_values, lam_values.size), np.tile(lam_values, t_values.size),
+                *fields, status]])
     residual_path = out_dir / "residuals.json"
     write_json(residual_path, {
-        "cells_total": len(keys),
-        "cells_gap": len(keys) - len(live_keys),
-        "cells_degenerate": n_degenerate,
-        "max_abs_p_residual": max(residuals) if residuals else None,
-        "rms_p_residual": _rms(residuals),
+        "cells_total": n_cells,
+        "cells_gap": n_cells - len(results),
+        "cells_degenerate": int(np.count_nonzero(status == "true")),
+        "max_abs_p_residual": float(residuals.max()) if residuals.size else None,
+        "rms_p_residual": (math.sqrt(math.fsum(np.square(residuals).flat) / residuals.size)
+                           if residuals.size else None),
     })
     return [csv_path, residual_path]
-
-
-def _rms(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return math.sqrt(math.fsum(v * v for v in values) / len(values))
 
 
 def run_qkd(config: dict, seed: int, out_dir: Path) -> list[Path]:

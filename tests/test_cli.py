@@ -1,15 +1,22 @@
 """End-to-end command behavior: files, formats, exit codes, env handling."""
 
+import copy
 import hashlib
 import json
 import math
+import tempfile
 import warnings
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_csv, read_json, tree_bytes
 from fwmqkd import pipeline, session
+from fwmqkd.config import DEFAULTS
 from fwmqkd.errors import ConfigError
 
 SMALL_MAP = {
@@ -131,6 +138,41 @@ class TestContrastMap:
             # P and Gamma describe the same split, modulo the regularizer
             assert (2.0 * gamma / (1.0 + gamma) - 1.0) == pytest.approx(p, abs=1e-6)
 
+    def test_wavelengths_that_round_together_are_rejected(self, run_cli, tmp_path, capsys):
+        # The four points round to two distinct wavelengths, so ratios.csv
+        # would repeat cells that reconstruct rejects as duplicate rows.
+        cfg = _write_config(tmp_path / "c.json", {"contrast_map": {
+            "lambda_min": 500.0, "lambda_max": 500.0000000000001, "points": 4, "t_list": [0.0]}})
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: contrast_map.points ") and err.count("\n") == 1
+        assert not (run_cli.cwd / "m").exists()
+
+
+# Three delays, the first spelled three ways, and three wavelengths: one
+# cell is absent, three carry a nan, a negative or an inf ratio, and one the
+# degenerate pure vertical field.
+GAPPED_RATIO_ROWS = [
+    "0.0,500.0,1.2,0.9",
+    "0.00,510.0,0.35,1.7",
+    "0,520.0,-0.5,0.9",
+    "500.0,500.0,0.8,1.1",
+    "500.0,520.0,0.0,0.9999999980000005",
+    "250.0,500.0,nan,0.5",
+    "250.0,510.0,2.0,inf",
+    "250.0,520.0,0.6,0.6",
+]
+
+
+@cache
+def _reconstruct_bytes(rows):
+    """The bytes of every file a reconstruct run writes for these data rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + "\n".join(rows) + "\n")
+        files = pipeline.run_reconstruct(copy.deepcopy(DEFAULTS), Path(tmp) / "r", str(src))
+        return {f.name: f.read_bytes() for f in files}
+
 
 class TestReconstruct:
     def _chain(self, run_cli, tmp_path):
@@ -199,6 +241,36 @@ class TestReconstruct:
 
     def test_missing_input_is_an_io_error(self, run_cli):
         assert run_cli("reconstruct", "--input", "nowhere.csv", "--out", "r") == 3
+
+    @pytest.mark.parametrize("data", [
+        "nan,500,1,1\nnan,500,1,1\n",
+        "0,1e400,1,1\n",
+    ], ids=["nan-delay-twice", "overflowing-wavelength"])
+    def test_a_non_finite_key_is_rejected_by_its_line(self, run_cli, tmp_path, capsys, data):
+        # nan never equals itself, so two nan rows used to become two cells.
+        src = tmp_path / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + data)
+        assert run_cli("reconstruct", "--input", str(src), "--out", "r") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "finite" in err and err.count("\n") == 1
+        assert not (run_cli.cwd / "r").exists()
+
+    def test_a_key_is_written_as_its_first_row_spells_it(self, run_cli, tmp_path):
+        src = tmp_path / "ratios.csv"
+        src.write_text(
+            "T_fs,lambda_nm,gamma_0,gamma_45\n"
+            "-0.0,500.0,1.2,0.9\n"
+            "0.0,510.0,0.35,1.7\n"
+        )
+        assert run_cli("reconstruct", "--input", str(src), "--out", "r") == 0
+        _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
+        assert [r[:2] for r in rows] == [["-0.0", "500.0"], ["-0.0", "510.0"]]
+
+    @settings(max_examples=25)
+    @given(order=st.permutations(range(len(GAPPED_RATIO_ROWS))))
+    def test_the_row_order_of_the_input_changes_no_byte(self, order):
+        shuffled = _reconstruct_bytes(tuple(GAPPED_RATIO_ROWS[i] for i in order))
+        assert shuffled == _reconstruct_bytes(tuple(GAPPED_RATIO_ROWS))
 
 
 class TestQkd:
@@ -440,9 +512,13 @@ class TestCommonBehavior:
 
     @pytest.mark.parametrize("command,section", [
         ("spectra", {"spectra": {"t_list": [100.0, 100.0000001]}}),
+        ("spectra", {"spectra": {"t_list": [0.0, -1.0]}}),
+        ("contrast-map", {"contrast_map": {"t_list": [0.0, 0.0]}}),
+        ("contrast-map", {"contrast_map": {"t_list": [0.0, -0.0]}}),
         ("qkd", {"qkd": {"preset": "600nm"}}),
         ("qkd", {"qkd": {"threshold_mode": "bogus"}}),
-    ], ids=["colliding-delays", "unknown-preset", "bad-threshold-mode"])
+    ], ids=["colliding-delays", "negative-delay", "repeated-delay", "signed-zero-delays",
+            "unknown-preset", "bad-threshold-mode"])
     def test_a_rejected_run_leaves_no_output_directory(self, run_cli, tmp_path, command, section):
         cfg = _write_config(tmp_path / "c.json", section)
         assert run_cli(command, "--config", cfg, "--out", "out") == 2

@@ -8,7 +8,9 @@ list from that file and changes nothing in it.
 import importlib
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -52,3 +54,30 @@ def test_a_default_detector_check_still_calls_gain_from_uniform(run_cli):
     assert calls and tracer.self_times()["photons.gain_from_uniform"] > 0.0
     # Each fallback pulse is drawn once per port, and they are a small share.
     assert 0 < draws < 0.01 * 2 * pulses
+
+
+def test_a_reconstruct_run_searches_every_live_pair_in_one_call(run_cli, tmp_path):
+    # The reconstruct_map and se_argmin layers stay measured only while a
+    # run hands the search every live pair at once.
+    from fwmqkd import pipeline
+
+    src = tmp_path / "ratios.csv"
+    src.write_text(
+        "T_fs,lambda_nm,gamma_0,gamma_45\n"
+        "500.0,520.0,0.0,0.9999999980000005\n"
+        "0.0,510.0,0.35,1.7\n"
+        "0.0,520.0,-0.5,0.9\n"
+        "0.0,500.0,1.2,0.9\n"
+        "500.0,500.0,0.8,1.1\n"
+    )
+    with _spans().Tracer() as tracer, \
+            mock.patch.object(pipeline, "reconstruct_map", wraps=pipeline.reconstruct_map) as spy:
+        assert run_cli("reconstruct", "--input", str(src), "--out", "out") == 0
+    (pairs, _), _ = spy.call_args
+    np.testing.assert_array_equal(pairs, [[1.2, 0.9], [0.35, 1.7], [0.8, 1.1],
+                                          [0.0, 0.9999999980000005]])
+    layers = [s[0] for s in tracer.spans]
+    assert spy.call_count == layers.count("reconstruct.reconstruct_map") == 1
+    assert layers.count("kernels.se_argmin") == 1
+    assert tracer.counts["reconstruct.reconstruct_map.pairs"] == 4
+    assert tracer.counts["reconstruct.degenerate_cells"] == 1
