@@ -96,9 +96,15 @@ def pulse_randoms(seed: int, stream: int, start: int, count: int):
     delay_bit, basis_bit = (np.empty(count, dtype=np.uint8) for _ in range(2))
     chunk = max(1, min(CHUNK_PULSES, count))
     offsets = np.arange(chunk, dtype=np.uint64)
-    # Columns [0, m) hold block 0 of each pulse, columns [m, 2m) block 1.
-    buf = np.empty((4, 2 * chunk), dtype=np.uint64)
-    tmp = np.empty((2, 2 * chunk), dtype=np.uint64)
+    # Columns [0, m) of buf hold block 0 of each pulse, columns [m, 2m)
+    # block 1.  buf and tmp share one allocation (1.5 MiB at CHUNK_PULSES).
+    # Freeing it sets glibc's dynamic mmap threshold to its size and the
+    # heap trim threshold to twice that (mallopt(3)), above what a block of
+    # pulses frees.  Two buffers left the trim threshold near 2 MiB, and
+    # most processes gave the heap top back and faulted it in again after
+    # every block.
+    work = np.empty((6, 2 * chunk), dtype=np.uint64)
+    buf, tmp = work[:4], work[4:]
     mask, shift32, shift11, shift31 = (np.uint64(v) for v in (_MASK32, 32, 11, 31))
     for a in range(0, count, chunk):
         m = min(chunk, count - a)

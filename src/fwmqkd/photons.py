@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from ._kernels import STREAM_DETECTOR, poisson_bracket, poisson_counts, pulse_randoms
+from ._kernels import (
+    BRACKET_MAX_LEVEL,
+    BRACKET_MAX_RATE,
+    CDF_SLACK,
+    STREAM_DETECTOR,
+    poisson_bracket,
+    poisson_counts,
+    pulse_randoms,
+)
 from .errors import DegenerateInputError, ParameterError
 
 VOLTS_PER_PHOTON = 0.6
@@ -32,6 +40,12 @@ SIPM_NOISE_VOLTS = 0.05
 # bracket is widened by GAIN_SLACK relative at both ends (see gain_cells).
 GAIN_KNOTS = 1 << 12
 GAIN_SLACK = 2.0**-24
+
+# At g2 = 1 the counts are looked up in COUNT_BUCKETS buckets of u per
+# setting, for rate tables of at most COUNT_TABLE_SETTINGS entries (a
+# session's four); see count_buckets.
+COUNT_BUCKETS = 1 << 12
+COUNT_TABLE_SETTINGS = 4
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,13 @@ def draw_photon_counts(
     total = i_h + i_v
     if np.any(total <= 0):
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
+    rate_h, rate_v = (r.reshape(-1) for r in port_rates(i_h, i_v, config))
+    if rate_h.size not in (1, count):
+        raise ParameterError("intensities must be scalars or arrays of length count")
 
     u_gain, u_h, u_v, _, _ = pulse_randoms(seed, stream, start, count)
-    rate_h, rate_v = port_rates(i_h, i_v, config)
-    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config))
+    setting = 0 if rate_h.size == 1 else np.arange(count)
+    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, setting, config))
 
 
 def port_rates(i_h, i_v, config: AttenuationConfig):
@@ -118,54 +135,154 @@ def port_rates(i_h, i_v, config: AttenuationConfig):
             config.mean_total_photons * (i_v / total))
 
 
-def counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfig):
+def counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, setting, config: AttenuationConfig):
     """Map one batch of pulse uniforms to clamped port counts.
 
-    Each port's Poisson mean is the gain times its port_rates share,
-    gain * rate.  u_gain, u_h and u_v are 1-D arrays of uniforms in [0, 1);
-    rate_h and rate_v are scalars or per-pulse arrays.  Returns
-    (n_h, n_v, clamped), clamped where either port clamped.
+    rate_h and rate_v are 1-D tables of each port's port_rates share, and
+    setting indexes them: an index array with one entry per pulse, or one
+    index for every pulse.  A pulse's Poisson means are its gain times
+    rate_h[setting] and rate_v[setting].  u_gain, u_h and u_v are 1-D arrays
+    of uniforms in [0, 1).  Returns (n_h, n_v, clamped), clamped where
+    either port clamped; each pulse's values are those of
+    poisson_counts(u, gain * rate), and gain_from_uniform gives the gain.
 
-    At g2 > 1 the counts are poisson_counts(u, gain * rate) without the
-    gain: a pulse in knot cell j = floor(u_gain * GAIN_KNOTS) has its gain
-    inside gain_cells' bracket [lo_j, hi_j], and rounding is monotone, so
-    its means lie in [lo_j * rate, hi_j * rate].  poisson_bracket decides
+    Most pulses are decided from a cached table; the rest take that exact
+    path on their subset alone, which gets the bits the whole batch would,
+    as both functions are elementwise.
+
+    At g2 = 1 the gain is 1, so a count depends only on the setting and u.
+    count_buckets holds each port's count at every bucket of u that no CDF
+    level comes near, and one gather per port decides those pulses.  When
+    a rate table has more than COUNT_TABLE_SETTINGS entries, every pulse
+    takes the exact path.
+
+    At g2 > 1 a pulse in knot cell j = floor(u_gain * GAIN_KNOTS) has its
+    gain inside gain_cells' bracket [lo_j, hi_j], and rounding is monotone,
+    so its means lie in [lo_j * rate, hi_j * rate].  poisson_bracket decides
     every level at both ends of that range, and a decided count equals the
-    exact one.  Only a pulse that either port leaves undecided, or that
-    lies in the last cell, whose gain is unbounded, takes the exact path:
-    gain_from_uniform, then poisson_counts, on that subset alone.  Both are
-    elementwise, so the subset gets the bits the whole batch would.  At
-    g2 = 1, or when the table fails its check, every pulse takes that path.
+    exact one.  A pulse that either port leaves undecided, or that lies in
+    the last cell, whose gain is unbounded, takes the exact path; every
+    pulse does when the gain table fails its check.
     """
-    g2 = config.g2_target
-    cells = gain_cells(g2) if g2 > 1.0 else None
+    if config.g2_target > 1.0:
+        decided = _bracket_counts(u_gain, u_h, u_v, rate_h[setting], rate_v[setting], config)
+    else:
+        decided = _table_counts(u_h, u_v, rate_h, rate_v, setting, config.max_photons)
+    if decided is None:
+        return _exact_counts(u_gain, u_h, u_v, rate_h[setting], rate_v[setting], config)
+    n_h, n_v, clamped, redo = decided
+    if redo.size:
+        pick = setting if np.ndim(setting) == 0 else setting[redo]
+        n_h[redo], n_v[redo], clamped[redo] = _exact_counts(
+            u_gain[redo], u_h[redo], u_v[redo], rate_h[pick], rate_v[pick], config)
+    return n_h, n_v, clamped
+
+
+def _table_counts(u_h, u_v, rate_h, rate_v, setting, max_photons: int):
+    """Counts and clamp flags from count_buckets, and the pulses it leaves
+    undecided (the redo indices), or None without a table."""
+    tables = count_buckets(rate_h, max_photons), count_buckets(rate_v, max_photons)
+    if tables[0] is None or tables[1] is None:
+        return None
+    base = np.multiply(setting, COUNT_BUCKETS, dtype=np.intp)
+    t_h, t_v = (table.take((u * COUNT_BUCKETS).astype(np.intp) + base)
+                for table, u in zip(tables, (u_h, u_v)))
+    redo = np.flatnonzero((t_h | t_v) < 0)
+    return (np.minimum(t_h, max_photons, dtype=np.int64),
+            np.minimum(t_v, max_photons, dtype=np.int64),
+            np.maximum(t_h, t_v) > max_photons, redo)
+
+
+def _bracket_counts(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfig):
+    """Counts and clamp flags from the gain-knot bracket, and the pulses it
+    leaves undecided (the redo indices), or None without a gain table."""
+    cells = gain_cells(config.g2_target)
     if cells is None:
-        return _exact_counts(u_gain, u_h, u_v, rate_h, rate_v, config)
+        return None
     u_gain = np.asarray(u_gain, dtype=np.float64)
     cell = (u_gain * GAIN_KNOTS).astype(np.intp)
     lo, hi = cells[0][cell], cells[1][cell]
     n_h, clamped_h, decided_h = poisson_bracket(u_h, lo * rate_h, hi * rate_h, config.max_photons)
     n_v, clamped_v, decided_v = poisson_bracket(u_v, lo * rate_v, hi * rate_v, config.max_photons)
-    clamped = clamped_h | clamped_v
     redo = np.flatnonzero(~(decided_h & decided_v) | (cell == GAIN_KNOTS - 1))
-    if redo.size:
-        n_h[redo], n_v[redo], clamped[redo] = _exact_counts(
-            u_gain[redo], u_h[redo], u_v[redo], _pick(rate_h, redo), _pick(rate_v, redo), config)
-    return n_h, n_v, clamped
+    return n_h, n_v, clamped_h | clamped_v, redo
 
 
 def _exact_counts(u_gain, u_h, u_v, rate_h, rate_v, config: AttenuationConfig):
-    """Every pulse's gain from gain_from_uniform, then both Poisson draws."""
+    """Every pulse's gain from gain_from_uniform, then both ports' Poisson
+    draws in one poisson_counts call on the ports joined end to end."""
     gain = gain_from_uniform(u_gain, config.g2_target)
-    n_h, clamped_h = poisson_counts(u_h, gain * rate_h, config.max_photons)
-    n_v, clamped_v = poisson_counts(u_v, gain * rate_v, config.max_photons)
-    return n_h, n_v, clamped_h | clamped_v
+    n, clamped = poisson_counts(np.concatenate([u_h, u_v]),
+                                np.concatenate([gain * rate_h, gain * rate_v]), config.max_photons)
+    m = gain.size
+    return n[:m], n[m:], clamped[:m] | clamped[m:]
 
 
-def _pick(rate, idx):
-    """A scalar rate, or a per-pulse rate array's entries at idx."""
-    rate = np.asarray(rate, dtype=np.float64)
-    return rate if rate.ndim == 0 else rate[idx]
+def count_buckets(rates, max_photons: int):
+    """The g2 = 1 count of each (setting, bucket of u), or None.
+
+    rates is a 1-D table of Poisson means, one per setting.  Returns None
+    for more than COUNT_TABLE_SETTINGS of them, else a read-only
+    (settings, COUNT_BUCKETS) integer table, cached per bit pattern of the
+    rates and max_photons.  Bucket b covers u in [b / COUNT_BUCKETS,
+    (b + 1) / COUNT_BUCKETS); COUNT_BUCKETS is a power of two, so a
+    pulse's bucket floor(u * COUNT_BUCKETS) is exact.  An entry is
+    poisson_counts' count for every u of its bucket, max_photons + 1 where
+    every u clamps, or -1 where that is not known.
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    if rates.size > COUNT_TABLE_SETTINGS:
+        return None
+    return _count_buckets(rates.tobytes(), max_photons)
+
+
+@functools.lru_cache(maxsize=8)
+def _count_buckets(key: bytes, max_photons: int) -> np.ndarray:
+    """count_buckets' table for the rates whose bytes are key.
+
+    The CDF levels c_0, c_1, ... come from poisson_counts' recurrence, with
+    its operations in its order, and stop once every p has underflowed to
+    0, after which no level changes; so their number follows the counts,
+    not max_photons.  A level c_k decides a bucket when c_k + CDF_SLACK
+    lies below its first u (every u counts it) or c_k - CDF_SLACK lies at
+    or above its end (none does).  That margin covers any difference
+    between these levels and the ones poisson_counts computes for a pulse,
+    as poisson_bracket's docstring derives for the rates and levels it
+    decides; so a rate above BRACKET_MAX_RATE decides no bucket, and when
+    max_photons exceeds BRACKET_MAX_LEVEL no bucket that may count the last
+    level is decided.  A decided bucket's count is the number of levels
+    below it; past c_max_photons that is max_photons + 1, a clamp.  When
+    the levels stop early, the last one lies within CDF_SLACK of 1, so no
+    bucket is past it or past the copies of it that stand for the levels
+    not computed.
+    """
+    rates = np.frombuffer(key)
+    unknown = ~(rates <= BRACKET_MAX_RATE)
+    # Finite stand-ins keep inf and nan out of the recurrence.
+    lam = np.where(unknown, 0.0, rates)
+    p = np.exp(-lam)
+    levels = [p.copy()]
+    for k in range(1, min(max_photons, BRACKET_MAX_LEVEL) + 1):
+        if not p.any():
+            break
+        p *= lam / k
+        levels.append(levels[-1] + p)
+    levels = np.array(levels)
+    last = len(levels) - 1
+    edges = np.arange(COUNT_BUCKETS + 1) / COUNT_BUCKETS
+    dtype = np.int8 if max_photons + 1 <= np.iinfo(np.int8).max else np.int64
+    table = np.empty((rates.size, COUNT_BUCKETS), dtype=dtype)
+    for s, c in enumerate(levels.T):
+        # below: the levels every u of a bucket counts; reach: those some u
+        # of it may count.
+        below = np.searchsorted(c + CDF_SLACK, edges[:-1])
+        reach = np.searchsorted(c - CDF_SLACK, edges[1:])
+        undecided = (reach > below) | unknown[s]
+        if max_photons > BRACKET_MAX_LEVEL:
+            undecided |= reach > last
+        table[s] = np.where(undecided, -1, below)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=8)

@@ -357,12 +357,13 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
 def _read_ratio_csv(path: Path) -> np.ndarray:
     """Parse a ratio table into an (n, 4) float64 array, one row per data
     line, enforcing the exact four-column schema and finite T_fs and
-    lambda_nm.  Line numbers in messages count the non-blank lines."""
+    lambda_nm.  Blank lines are skipped; messages give a line's number in
+    the file."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ConfigError(f"input {path} is empty")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if header != RATIO_COLUMNS:
         missing = [c for c in RATIO_COLUMNS if c not in header]
         extra = [c for c in header if c not in RATIO_COLUMNS]
@@ -370,20 +371,22 @@ def _read_ratio_csv(path: Path) -> np.ndarray:
                  (("missing columns", missing), ("unexpected columns", extra)) if cols]
         parts = parts or [f"column order must be {', '.join(RATIO_COLUMNS)}"]
         raise ConfigError(f"input {path} does not match the ratio schema ({'; '.join(parts)})")
-    if len(lines) == 1:
+    data = lines[1:]
+    if not data:
         raise ConfigError(f"input {path} has a header but no data rows")
-    rows = np.empty((len(lines) - 1, 4))
-    for i, line in enumerate(lines[1:]):
+    rows = np.empty((len(data), 4))
+    for i, (n, line) in enumerate(data):
         cells = line.split(",")
         if len(cells) != 4:
-            raise ConfigError(f"input {path} line {i + 2}: expected 4 cells, got {len(cells)}")
+            raise ConfigError(f"input {path} line {n}: expected 4 cells, got {len(cells)}")
         try:
             rows[i] = [float(c) for c in cells]
         except ValueError:
-            raise ConfigError(f"input {path} line {i + 2}: non-numeric cell") from None
+            raise ConfigError(f"input {path} line {n}: non-numeric cell") from None
     bad_key = ~np.isfinite(rows[:, :2]).all(axis=1)
     if bad_key.any():
-        raise ConfigError(f"input {path} line {np.argmax(bad_key) + 2}: T_fs and lambda_nm must be finite")
+        n = data[np.argmax(bad_key)][0]
+        raise ConfigError(f"input {path} line {n}: T_fs and lambda_nm must be finite")
     return rows
 
 

@@ -181,15 +181,15 @@ def _rate_tables(config: SessionConfig, channel: ChannelModel):
 def _draw_batch(config: SessionConfig, rates, start: int, count: int):
     """Counts and settings for pulses [start, start + count).
 
-    rates are the session's _rate_tables.  The per-pulse uniforms, Alice's
-    bit and Bob's basis (uint8) all come from the same generator block, so
-    the result depends only on the absolute pulse index.
+    rates are the session's _rate_tables, which each pulse's setting
+    indexes.  The per-pulse uniforms, Alice's bit and Bob's basis (uint8)
+    all come from the same generator block, so the result depends only on
+    the absolute pulse index.
     """
     u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
     setting = alice << 1
     setting |= basis
-    rate_h, rate_v = (np.take(rate, setting) for rate in rates)
-    n_h, n_v, clamped = counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config.attenuation)
+    n_h, n_v, clamped = counts_from_rates(u_gain, u_h, u_v, *rates, setting, config.attenuation)
     return n_h, n_v, alice, basis, clamped
 
 

@@ -255,6 +255,15 @@ class TestReconstruct:
         assert "line 2" in err and "finite" in err and err.count("\n") == 1
         assert not (run_cli.cwd / "r").exists()
 
+    def test_a_bad_row_is_reported_by_its_line_in_the_file(self, run_cli, tmp_path, capsys):
+        # Blank lines are skipped but still counted.
+        src = tmp_path / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n\n0.0,500.0,1.2,0.9\n\n\n"
+                       "0.0,510.0,x,0.9\n")
+        assert run_cli("reconstruct", "--input", str(src), "--out", "r") == 2
+        err = capsys.readouterr().err
+        assert "line 6: non-numeric cell" in err and err.count("\n") == 1
+
     def test_a_key_is_written_as_its_first_row_spells_it(self, run_cli, tmp_path):
         src = tmp_path / "ratios.csv"
         src.write_text(

@@ -142,6 +142,8 @@ class TestDrawPhotonCounts:
             draw_photon_counts(0.0, 0.0, cfg, seed=1, count=10)
         with pytest.raises(ParameterError):
             draw_photon_counts(0.5, 0.5, cfg, seed=1, count=-1)
+        with pytest.raises(ParameterError):
+            draw_photon_counts(np.full(3, 0.5), 0.5, cfg, seed=1, count=10)
 
 
 class TestG2:
@@ -474,6 +476,15 @@ def _ref_counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config):
     return n_h, n_v, clamped_h | clamped_v
 
 
+def _counts_per_pulse(u_gain, u_h, u_v, rate_h, rate_v, config):
+    """counts_from_rates on scalar or per-pulse rates: 1-entry tables and
+    setting 0, or a table of every pulse's rates and setting i for pulse i."""
+    rate_h, rate_v = (np.asarray(r, dtype=np.float64).reshape(-1)
+                      for r in np.broadcast_arrays(rate_h, rate_v))
+    setting = 0 if rate_h.size == 1 else np.arange(rate_h.size)
+    return counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, setting, config)
+
+
 def _cdf_levels(lam, levels):
     """The CDF after each of levels + 1 steps of poisson_counts' recurrence,
     with its operations in its order: rows are levels 0..levels."""
@@ -551,7 +562,7 @@ def _bracket_case(draw):
 @settings(max_examples=400, deadline=None)
 @given(_bracket_case())
 def test_counts_from_rates_match_the_per_pulse_gain_path(case):
-    _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
+    _assert_bitwise_equal(_counts_per_pulse(*case), _ref_counts_from_rates(*case))
 
 
 # --- The two assumptions the bracket's exactness rests on ------------------
@@ -585,7 +596,7 @@ def test_a_table_that_fails_its_check_sends_every_pulse_to_the_exact_path(monkey
         rng = np.random.default_rng(3)
         case = (rng.random(500), rng.random(500), rng.random(500), 0.7, 0.3,
                 AttenuationConfig(g2_target=g2))
-        _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
+        _assert_bitwise_equal(_counts_per_pulse(*case), _ref_counts_from_rates(*case))
     finally:
         gain_cells.cache_clear()
 
@@ -691,7 +702,7 @@ def test_counts_from_rates_warns_about_nothing(g2, capfd):
                            (1e300, 1.0)]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = counts_from_rates(u_gain, u, u[::-1], rate_h, rate_v, config)
+            got = _counts_per_pulse(u_gain, u, u[::-1], rate_h, rate_v, config)
         _assert_bitwise_equal(got, _ref_counts_from_rates(u_gain, u, u[::-1], rate_h, rate_v,
                                                           config))
     assert capfd.readouterr().err == ""
@@ -721,4 +732,136 @@ def test_pulses_past_the_last_decided_level_take_the_exact_path(cap, monkeypatch
         case = (rng.random(3000), rng.random(3000), rng.random(3000), 0.8 * mean,
                 rng.random(3000) * mean,
                 AttenuationConfig(mean_total_photons=mean, g2_target=g2, max_photons=max_photons))
-        _assert_bitwise_equal(counts_from_rates(*case), _ref_counts_from_rates(*case))
+        _assert_bitwise_equal(_counts_per_pulse(*case), _ref_counts_from_rates(*case))
+
+
+# --- The g2 = 1 count table -------------------------------------------------
+
+TABLE_RATES = [0.0, 1e-300, 0.5, 746.0]
+TABLE_MAX_PHOTONS = [1, 5, 16, 17, 126, 127, 1000]
+
+
+def _near(values):
+    """Each value, and the floats one ulp either side, inside [0, 1)."""
+    u = np.concatenate([values, np.nextafter(values, -1.0), np.nextafter(values, 2.0)])
+    return np.clip(u, 0.0, 1.0 - 2**-53)
+
+
+def _table_uniforms(table, max_photons, setting, rng):
+    """Port uniforms of the pulses at each setting: at and one ulp either side
+    of every computed CDF level of that setting's rate, then anywhere."""
+    levels = _cdf_levels(table, max_photons)
+    u = rng.integers(0, 2**53, setting.size) * 2**-53
+    for s in range(table.size):
+        near = _near(np.unique(levels[:, s]))
+        u[np.flatnonzero(setting == s)[:near.size]] = near
+    return u
+
+
+@st.composite
+def _table_case(draw):
+    max_photons = draw(st.one_of(st.sampled_from(TABLE_MAX_PHOTONS), st.integers(1, 200)))
+    n_settings = draw(st.integers(1, photons.COUNT_TABLE_SETTINGS))
+    rate = st.one_of(st.sampled_from(TABLE_RATES), st.floats(0.0, 800.0))
+    tables = [np.array([draw(rate) for _ in range(n_settings)]) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Enough pulses for every level of every setting, or up to a whole block.
+    per_setting = 3 * (max_photons + 1)
+    n = draw(st.sampled_from([n_settings * per_setting, 1 << 14]))
+    setting = np.resize(np.arange(n_settings), max(n, n_settings * per_setting))
+    rng.shuffle(setting)
+    u_h, u_v = (_table_uniforms(t, max_photons, setting, rng) for t in tables)
+    return u_h, u_v, tables, setting, max_photons
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_case())
+def test_the_count_table_gives_the_per_pulse_poisson_counts(case):
+    u_h, u_v, (rate_h, rate_v), setting, max_photons = case
+    config = AttenuationConfig(max_photons=max_photons)
+    assert photons.count_buckets(rate_h, max_photons) is not None
+    want_h, clamped_h = poisson_counts(u_h, rate_h[setting], max_photons)
+    want_v, clamped_v = poisson_counts(u_v, rate_v[setting], max_photons)
+    got = counts_from_rates(np.zeros(u_h.size), u_h, u_v, rate_h, rate_v, setting, config)
+    _assert_bitwise_equal(got, (want_h, want_v, clamped_h | clamped_v))
+    # One index for every pulse gives the same counts as an index array.
+    first = counts_from_rates(np.zeros(u_h.size), u_h, u_v, rate_h, rate_v, 0, config)
+    want_h, clamped_h = poisson_counts(u_h, np.full(u_h.size, rate_h[0]), max_photons)
+    want_v, clamped_v = poisson_counts(u_v, np.full(u_v.size, rate_v[0]), max_photons)
+    _assert_bitwise_equal(first, (want_h, want_v, clamped_h | clamped_v))
+
+
+TABLE_CASES = [([0.5], 5), ([0.0, 1e-300, 0.5, 746.0], 1), ([0.3, 5.0, 40.0, 700.0], 17),
+               ([0.02, 0.98, 1.0, 0.5], 126), ([2.0, 1e300, np.inf, 6.0], 127),
+               ([0.5, 120.0], 1000), ([0.5, 3.0], 2000)]
+
+
+@pytest.mark.parametrize("rates, max_photons", TABLE_CASES)
+def test_every_decided_bucket_holds_the_count_at_both_of_its_ends(rates, max_photons):
+    rates = np.array(rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = photons.count_buckets(rates, max_photons)
+    n_buckets = photons.COUNT_BUCKETS
+    assert table.shape == (rates.size, n_buckets)
+    assert table.dtype == (np.int8 if max_photons < 127 else np.int64)
+    assert not table.flags.writeable
+    assert photons.count_buckets(rates.copy(), max_photons) is table
+    assert table.min() >= -1 and table.max() <= max_photons + 1
+    first = np.arange(n_buckets) / n_buckets
+    last = np.nextafter(first + 1.0 / n_buckets, 0.0)
+    # Only rates too large to bracket decide no bucket at all.
+    assert np.array_equal((table >= 0).any(axis=1), rates <= BRACKET_MAX_RATE)
+    for s in np.flatnonzero(rates <= BRACKET_MAX_RATE):
+        rate, decided = rates[s], table[s] >= 0
+        for u in (first, last):
+            n, clamped = poisson_counts(u, np.full(n_buckets, rate), max_photons)
+            np.testing.assert_array_equal(table[s][decided], (n + clamped)[decided])
+
+
+def test_only_small_rate_tables_get_a_count_table():
+    rates = np.linspace(0.1, 1.0, photons.COUNT_TABLE_SETTINGS + 1)
+    assert photons.count_buckets(rates[:-1], 5) is not None
+    assert photons.count_buckets(rates, 5) is None
+    u = np.linspace(0.0, 1.0 - 2**-53, rates.size)
+    got = counts_from_rates(u, u, u[::-1], rates, rates[::-1], np.arange(rates.size),
+                            AttenuationConfig())
+    _assert_bitwise_equal(got, _ref_counts_from_rates(u, u, u[::-1], rates, rates[::-1],
+                                                      AttenuationConfig()))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_buckets_past_the_last_decided_level_take_the_exact_path(cap, monkeypatch):
+    # Below max_photons, the cap and not the clamp ends the level loop.
+    monkeypatch.setattr(photons, "BRACKET_MAX_LEVEL", cap)
+    photons._count_buckets.cache_clear()
+    try:
+        rng = np.random.default_rng(cap)
+        for rates, max_photons in [([0.8, 0.2, 3.0, 1e-300], 20), ([5.0], 9)]:
+            rates = np.array(rates)
+            setting = rng.integers(0, rates.size, 5000)
+            u = rng.random(5000)
+            got = counts_from_rates(u, u, u[::-1], rates, rates, setting,
+                                    AttenuationConfig(max_photons=max_photons))
+            want = _ref_counts_from_rates(u, u, u[::-1], rates[setting], rates[setting],
+                                          AttenuationConfig(max_photons=max_photons))
+            _assert_bitwise_equal(got, want)
+    finally:
+        photons._count_buckets.cache_clear()
+
+
+@pytest.mark.parametrize("preset", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
+def test_a_default_session_sends_few_pulses_to_the_exact_path(preset, monkeypatch):
+    seen = []
+
+    def counted(u, lam, max_photons):
+        seen.append(np.size(u))
+        return poisson_counts(u, lam, max_photons)
+
+    monkeypatch.setattr(photons, "poisson_counts", counted)
+    cfg = session.SessionConfig(lambda_nm=preset[0], decode_theta=preset[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = session.run_session(cfg)
+    # Each pulse on the exact path is one call's element at each port.
+    assert 0 < sum(seen) / 2 <= 0.01 * report.total_pulses

@@ -242,7 +242,8 @@ class TestRunPulse:
         u_gain, u_h, u_v, _, _ = pulse_randoms(cfg.seed, STREAM_SESSION, 0, 1000)
         i_h, i_v = ch.itable[0, ch.decode_basis]
         rate_h, rate_v = port_rates(i_h, i_v, cfg.attenuation)
-        n_h, n_v, _ = counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, cfg.attenuation)
+        n_h, n_v, _ = counts_from_rates(u_gain, u_h, u_v, np.array([rate_h]),
+                                         np.array([rate_v]), 0, cfg.attenuation)
         assert n_h.sum() == 0
         assert n_v.sum() > 300
 
