@@ -178,6 +178,10 @@ def poisson_bracket(u: np.ndarray, lam_lo: np.ndarray, lam_hi: np.ndarray, max_p
     (counts int64, clamped bool, decided bool); counts and clamped are
     poisson_counts' wherever decided, and mean nothing elsewhere.
 
+    Both exact count caches in photons decide with it: the g2 > 1 gain-knot
+    bracket on each pulse's mean range, the g2 = 1 table (_count_buckets) at
+    its buckets' ends with lam_lo = lam_hi.
+
     c_k never decreases in k, so once no decided pulse may count level k,
     none counts a later one and every count is final.  The loop stops at
     the first such level, so its length follows the counts, not

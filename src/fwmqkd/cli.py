@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, bench
+from . import __version__
 from ._kernels import BACKEND
 from .config import load_config, resolve_seed
 from .errors import ConfigError, DegenerateInputError, MessageEncodingError, ParameterError
@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--input", help="ratio CSV to invert (defaults to reconstruct.input)")
     add("qkd", "run a full key distribution session")
     add("detector-check", "exercise photon counting, SiPM readout and contrast resolution")
-
-    p_bench = sub.add_parser("bench", help="time the sampling and search kernels")
-    p_bench.add_argument("--pulses", type=int, default=200_000)
-    p_bench.add_argument("--repeats", type=int, default=3)
     return parser
 
 
@@ -66,10 +62,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "bench":
-        print(bench.format_report(bench.run_bench(pulses=args.pulses, repeats=args.repeats)))
-        return 0
-
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
     out_dir = resolve_output_dir(args.out, config, args.command)

@@ -16,21 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from ._kernels import (
-    BRACKET_MAX_LEVEL,
-    BRACKET_MAX_RATE,
-    CDF_SLACK,
-    STREAM_DETECTOR,
-    poisson_bracket,
-    poisson_counts,
-    pulse_randoms,
-)
+from ._kernels import STREAM_DETECTOR, poisson_bracket, poisson_counts, pulse_randoms
 from .errors import DegenerateInputError, ParameterError
 
 VOLTS_PER_PHOTON = 0.6
@@ -62,12 +55,12 @@ class AttenuationConfig:
     max_photons: int = 5
 
     def __post_init__(self) -> None:
-        if self.mean_total_photons <= 0:
-            raise ParameterError("mean_total_photons must be positive")
-        if self.g2_target < 1.0:
-            raise ParameterError("g2_target below 1 is not reachable with a gain mixture")
-        if self.max_photons < 1:
-            raise ParameterError("max_photons must be at least 1")
+        if not 0 < self.mean_total_photons < math.inf:
+            raise ParameterError("mean_total_photons must be positive and finite")
+        if not 1.0 <= self.g2_target < math.inf:
+            raise ParameterError("g2_target must be finite and at least 1 for a gain mixture")
+        if not isinstance(self.max_photons, numbers.Integral) or self.max_photons < 1:
+            raise ParameterError("max_photons must be an integer of at least 1")
 
 
 def gain_from_uniform(u, g2: float):
@@ -228,7 +221,7 @@ def count_buckets(rates, max_photons: int):
     (b + 1) / COUNT_BUCKETS); COUNT_BUCKETS is a power of two, so a
     pulse's bucket floor(u * COUNT_BUCKETS) is exact.  An entry is
     poisson_counts' count for every u of its bucket, max_photons + 1 where
-    every u clamps, or -1 where that is not known.
+    every u clamps, or -1 where poisson_bracket cannot decide the bucket.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.size > COUNT_TABLE_SETTINGS:
@@ -240,47 +233,22 @@ def count_buckets(rates, max_photons: int):
 def _count_buckets(key: bytes, max_photons: int) -> np.ndarray:
     """count_buckets' table for the rates whose bytes are key.
 
-    The CDF levels c_0, c_1, ... come from poisson_counts' recurrence, with
-    its operations in its order, and stop once every p has underflowed to
-    0, after which no level changes; so their number follows the counts,
-    not max_photons.  A level c_k decides a bucket when c_k + CDF_SLACK
-    lies below its first u (every u counts it) or c_k - CDF_SLACK lies at
-    or above its end (none does).  That margin covers any difference
-    between these levels and the ones poisson_counts computes for a pulse,
-    as poisson_bracket's docstring derives for the rates and levels it
-    decides; so a rate above BRACKET_MAX_RATE decides no bucket, and when
-    max_photons exceeds BRACKET_MAX_LEVEL no bucket that may count the last
-    level is decided.  A decided bucket's count is the number of levels
-    below it; past c_max_photons that is max_photons + 1, a clamp.  When
-    the levels stop early, the last one lies within CDF_SLACK of 1, so no
-    bucket is past it or past the copies of it that stand for the levels
-    not computed.
+    poisson_bracket, with both means at the setting's rate, decides each
+    bucket's first u and its last.  u only grows across a bucket, so when
+    both ends give the same count and clamp, every level lies at least
+    CDF_SLACK outside the bucket, and poisson_bracket's docstring shows that
+    every u in it then gets that count.  One call per setting and end keeps
+    the bracket's arrays at one bucket row.
     """
     rates = np.frombuffer(key)
-    unknown = ~(rates <= BRACKET_MAX_RATE)
-    # Finite stand-ins keep inf and nan out of the recurrence.
-    lam = np.where(unknown, 0.0, rates)
-    p = np.exp(-lam)
-    levels = [p.copy()]
-    for k in range(1, min(max_photons, BRACKET_MAX_LEVEL) + 1):
-        if not p.any():
-            break
-        p *= lam / k
-        levels.append(levels[-1] + p)
-    levels = np.array(levels)
-    last = len(levels) - 1
-    edges = np.arange(COUNT_BUCKETS + 1) / COUNT_BUCKETS
+    ends = (np.arange(COUNT_BUCKETS) / COUNT_BUCKETS,
+            np.nextafter(np.arange(1, COUNT_BUCKETS + 1) / COUNT_BUCKETS, 0.0))
     dtype = np.int8 if max_photons + 1 <= np.iinfo(np.int8).max else np.int64
     table = np.empty((rates.size, COUNT_BUCKETS), dtype=dtype)
-    for s, c in enumerate(levels.T):
-        # below: the levels every u of a bucket counts; reach: those some u
-        # of it may count.
-        below = np.searchsorted(c + CDF_SLACK, edges[:-1])
-        reach = np.searchsorted(c - CDF_SLACK, edges[1:])
-        undecided = (reach > below) | unknown[s]
-        if max_photons > BRACKET_MAX_LEVEL:
-            undecided |= reach > last
-        table[s] = np.where(undecided, -1, below)
+    for s, rate in enumerate(rates):
+        lam = np.full(COUNT_BUCKETS, rate)
+        (n0, c0, d0), (n1, c1, d1) = (poisson_bracket(u, lam, lam, max_photons) for u in ends)
+        table[s] = np.where(d0 & d1 & (n0 == n1) & (c0 == c1), n0 + c0, -1)
     table.flags.writeable = False
     return table
 

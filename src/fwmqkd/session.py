@@ -19,6 +19,7 @@ orientation, since some channels invert the contrast ordering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,12 +99,15 @@ class SessionConfig:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ParameterError("cycles must be at least 1")
+        if not isinstance(self.cycles, numbers.Integral) or self.cycles < 1:
+            raise ParameterError("cycles must be an integer of at least 1")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in 64 bits")
-        if self.delay_bit1 < 0 or self.delay_bit0 < 0:
-            raise ParameterError("delays must be non-negative")
+        if math.isnan(self.lambda_nm):
+            raise ParameterError("lambda_nm must be a number")
+        for name in ("delay_bit1", "delay_bit0"):
+            if not getattr(self, name) >= 0:  # NaN fails, inf passes
+                raise ParameterError(f"{name} must be a non-negative number")
         if self.delay_bit1 == self.delay_bit0:
             raise ParameterError("the two bit delays must be distinct")
         if self.threshold_mode not in THRESHOLD_MODES:

@@ -268,18 +268,6 @@ def test_pruned_se_argmin_on_the_default_grid(tmp_path):
     _assert_matches_oracle(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
 
 
-def test_bench_times_every_kernel():
-    from fwmqkd.bench import format_report, run_bench
-
-    report = run_bench(pulses=2000, pairs=2, repeats=1)
-    assert set(report["kernels"]) == {"pulse_randoms", "poisson_counts", "se_argmin"}
-    for entry in report["kernels"].values():
-        assert set(entry) == {"seconds"}
-        assert entry["seconds"] > 0.0
-    text = format_report(report)
-    assert "pulse_randoms" in text
-
-
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:

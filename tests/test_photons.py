@@ -55,6 +55,11 @@ def test_attenuation_config_validation():
         AttenuationConfig(g2_target=0.9)
     with pytest.raises(ParameterError):
         AttenuationConfig(max_photons=0)
+    for name, bad in [("mean_total_photons", math.nan), ("mean_total_photons", math.inf),
+                      ("g2_target", math.nan), ("g2_target", math.inf), ("max_photons", 2.5)]:
+        with pytest.raises(ParameterError, match=name):
+            AttenuationConfig(**{name: bad})
+    assert AttenuationConfig(max_photons=np.int64(3)).max_photons == 3
 
 
 class TestGain:
@@ -819,6 +824,32 @@ def test_every_decided_bucket_holds_the_count_at_both_of_its_ends(rates, max_pho
             np.testing.assert_array_equal(table[s][decided], (n + clamped)[decided])
 
 
+@pytest.mark.parametrize("rates, max_photons", TABLE_CASES)
+def test_a_bucket_is_decided_when_every_level_lies_the_slack_outside_it(rates, max_photons):
+    # The table, rebuilt from the computed CDF levels alone: a bucket holds
+    # the number of levels up to min(max_photons, BRACKET_MAX_LEVEL) that
+    # lie more than CDF_SLACK below it, when every such level lies that far
+    # below or above it and, past the cap, the last one lies above.
+    rates = np.array(rates)
+    table = photons.count_buckets(rates, max_photons)
+    n_buckets = photons.COUNT_BUCKETS
+    first = np.arange(n_buckets) / n_buckets
+    last = np.nextafter(first + 1.0 / n_buckets, 0.0)
+    top = min(max_photons, BRACKET_MAX_LEVEL)
+    for s, rate in enumerate(rates):
+        if not rate <= BRACKET_MAX_RATE:
+            assert (table[s] == -1).all()
+            continue
+        levels = _cdf_levels(np.array(rate), top)
+        below = levels[:, None] + CDF_SLACK < first
+        above = last <= levels[:, None] - CDF_SLACK
+        decided = (below | above).all(axis=0)
+        if top < max_photons:
+            decided &= above[top]
+        want = np.where(decided, below.sum(axis=0), -1)
+        np.testing.assert_array_equal(table[s], want)
+
+
 def test_only_small_rate_tables_get_a_count_table():
     rates = np.linspace(0.1, 1.0, photons.COUNT_TABLE_SETTINGS + 1)
     assert photons.count_buckets(rates[:-1], 5) is not None
@@ -833,7 +864,7 @@ def test_only_small_rate_tables_get_a_count_table():
 @pytest.mark.parametrize("cap", [1, 2, 7])
 def test_buckets_past_the_last_decided_level_take_the_exact_path(cap, monkeypatch):
     # Below max_photons, the cap and not the clamp ends the level loop.
-    monkeypatch.setattr(photons, "BRACKET_MAX_LEVEL", cap)
+    monkeypatch.setattr(_kernels, "BRACKET_MAX_LEVEL", cap)
     photons._count_buckets.cache_clear()
     try:
         rng = np.random.default_rng(cap)

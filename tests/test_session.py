@@ -103,6 +103,12 @@ class TestSessionConfig:
             SessionConfig(delay_bit1=250.0, delay_bit0=250.0)
         with pytest.raises(ParameterError):
             SessionConfig(delay_bit1=-1.0)
+        for name, bad in [("delay_bit1", math.nan), ("delay_bit0", math.nan),
+                          ("lambda_nm", math.nan), ("cycles", 2.5)]:
+            with pytest.raises(ParameterError, match=name):
+                SessionConfig(**{name: bad})
+        # Whether an infinite delay is valid is left to a config-wide decision.
+        assert SessionConfig(delay_bit0=math.inf).delay_bit0 == math.inf
 
     def test_defaults_describe_the_split_channel(self):
         cfg = SessionConfig()
