@@ -89,35 +89,27 @@ class DetectionBatch:
     clamped: np.ndarray
 
 
-def draw_photon_counts(
-    i_h,
-    i_v,
-    config: AttenuationConfig,
-    seed: int,
-    count: int,
-    start: int = 0,
-    stream: int = STREAM_DETECTOR,
-) -> DetectionBatch:
-    """Draw per-pulse photon counts for both ports.
+def draw_photon_counts(i_h, i_v, config: AttenuationConfig, seed: int, count: int,
+                       start: int = 0) -> DetectionBatch:
+    """Draw both ports' photon counts for pulses start .. start + count - 1.
 
-    i_h and i_v may be scalars or per-pulse arrays of length count.
+    i_h and i_v are scalar port intensities that every pulse shares.  The
+    uniforms come from STREAM_DETECTOR, so a batch is the matching slice of
+    any larger batch with the same seed.
     """
     if count < 0:
         raise ParameterError("count must be non-negative")
     i_h = np.asarray(i_h, dtype=np.float64)
     i_v = np.asarray(i_v, dtype=np.float64)
-    if np.any(i_h < 0) or np.any(i_v < 0):
+    if i_h.ndim or i_v.ndim:
+        raise ParameterError("intensities must be scalars")
+    if i_h < 0 or i_v < 0:
         raise ParameterError("intensities must be non-negative")
-    total = i_h + i_v
-    if np.any(total <= 0):
+    if i_h + i_v <= 0:
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
-    rate_h, rate_v = (r.reshape(-1) for r in port_rates(i_h, i_v, config))
-    if rate_h.size not in (1, count):
-        raise ParameterError("intensities must be scalars or arrays of length count")
-
-    u_gain, u_h, u_v, _, _ = pulse_randoms(seed, stream, start, count)
-    setting = 0 if rate_h.size == 1 else np.arange(count)
-    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, setting, config))
+    rate_h, rate_v = port_rates(i_h[None], i_v[None], config)
+    u_gain, u_h, u_v, _, _ = pulse_randoms(seed, STREAM_DETECTOR, start, count)
+    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, 0, config))
 
 
 def port_rates(i_h, i_v, config: AttenuationConfig):
@@ -428,18 +420,15 @@ def resolution(stats_a: ContrastStats, stats_b: ContrastStats) -> Resolution:
     return Resolution(num / denom, False)
 
 
-def emulate_sipm(counts, noise_u=None):
-    """Convert photon counts to detector voltages, VOLTS_PER_PHOTON each.
+def emulate_sipm(counts, noise_u):
+    """Convert photon counts to noisy detector voltages, VOLTS_PER_PHOTON each.
 
-    noise_u, when given, is a uniform array mapped through the normal
-    quantile to gaussian jitter of width SIPM_NOISE_VOLTS, a twelfth of the
-    single-photon step, so a misround needs a six sigma excursion.
+    noise_u is a uniform array mapped through the normal quantile to
+    gaussian jitter of width SIPM_NOISE_VOLTS, a twelfth of the single-photon
+    step, so a misround needs a six sigma excursion.
     """
-    volts = np.asarray(counts, dtype=np.float64) * VOLTS_PER_PHOTON
-    if noise_u is not None:
-        u = np.clip(np.asarray(noise_u, dtype=np.float64), 1e-16, 1.0 - 1e-16)
-        volts = volts + SIPM_NOISE_VOLTS * ndtri(u)
-    return volts
+    u = np.clip(np.asarray(noise_u, dtype=np.float64), 1e-16, 1.0 - 1e-16)
+    return np.asarray(counts, dtype=np.float64) * VOLTS_PER_PHOTON + SIPM_NOISE_VOLTS * ndtri(u)
 
 
 def invert_sipm(volts) -> np.ndarray:

@@ -516,10 +516,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
             for a in range(0, pulses, block):
                 m = min(block, pulses - a)
                 start = idx * pulses + a
-                batch = draw_photon_counts(
-                    i_h, i_v, attenuation, seed,
-                    count=m, start=start, stream=STREAM_DETECTOR,
-                )
+                batch = draw_photon_counts(i_h, i_v, attenuation, seed, count=m, start=start)
                 noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses + a, m)
                 volts_h = emulate_sipm(batch.n_h, noise_u=noise[1])
                 volts_v = emulate_sipm(batch.n_v, noise_u=noise[2])

@@ -28,6 +28,14 @@ from .optics import SignalField, intensity_pair
 THETA_SPLIT = 0.0
 THETA_MIX = math.pi / 4.0
 
+# The phase axis covers the principal branch [-pi/2, pi/2]; PHI_SPAN is its
+# width, which is exactly math.pi in floats.
+PHI_MIN = -math.pi / 2.0
+PHI_SPAN = math.pi
+
+# Grid points whose squared error is within TIE_EPS of the minimum tie with it.
+TIE_EPS = 1e-12
+
 # Largest accepted search grid, in (psi, phi) cells: 100x the default's 99,225.
 # Each ratio table at the cap is 80 MB.
 MAX_GRID_CELLS = 10_000_000
@@ -50,32 +58,24 @@ class GridSpec:
 
     psi_step: float = 0.005
     phi_step: float = 0.01
-    phi_min: float = -math.pi / 2.0
-    phi_max: float = math.pi / 2.0
     xi: float = 1e-9
-    tie_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.psi_step > 0 and self.phi_step > 0):
             raise ParameterError("grid steps must be positive")
-        if not self.phi_max > self.phi_min:
-            raise ParameterError("phi_max must exceed phi_min")
         cells = (_axis_points(math.pi / 2.0, self.psi_step)
-                 * _axis_points(self.phi_max - self.phi_min, self.phi_step))
+                 * _axis_points(PHI_SPAN, self.phi_step))
         if cells > MAX_GRID_CELLS:
             raise ParameterError(f"grid steps give {cells:.3g} search cells, "
                                  f"above the cap of {MAX_GRID_CELLS:,}")
         if self.xi <= 0:
             raise ParameterError("xi must be positive")
-        if self.tie_eps < 0:
-            raise ParameterError("tie_eps must be non-negative")
 
     def psi_axis(self) -> np.ndarray:
         return self.psi_step * np.arange(_axis_points(math.pi / 2.0, self.psi_step))
 
     def phi_axis(self) -> np.ndarray:
-        return self.phi_min + self.phi_step * np.arange(
-            _axis_points(self.phi_max - self.phi_min, self.phi_step))
+        return PHI_MIN + self.phi_step * np.arange(_axis_points(PHI_SPAN, self.phi_step))
 
 
 DEFAULT_GRID = GridSpec()
@@ -130,7 +130,7 @@ def measured_ratios(field: SignalField, grid: GridSpec = DEFAULT_GRID) -> tuple[
 class ReconstructionResult:
     """Best grid point for one ratio pair.
 
-    n_ties counts grid points whose squared error is within tie_eps of the
+    n_ties counts grid points whose squared error is within TIE_EPS of the
     minimum, including the winner; more than one means the data do not single
     out a field at this resolution and the result keeps the first minimum in
     row-major (psi, then phi) order.
@@ -168,7 +168,7 @@ def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> list[Reconstr
         raise ParameterError("ratios must be finite" if not_finite[first]
                              else "ratios must be non-negative")
     psi_axis, phi_axis, tab0, tab45 = _ratio_tables(grid)
-    i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], grid.tie_eps)
+    i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], TIE_EPS)
     results = []
     for i, j, se_k, ties in zip(i_psi.tolist(), i_phi.tolist(), se.tolist(), n_ties.tolist()):
         psi = float(psi_axis[i])

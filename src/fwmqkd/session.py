@@ -103,8 +103,8 @@ class SessionConfig:
             raise ParameterError("cycles must be an integer of at least 1")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in 64 bits")
-        if math.isnan(self.lambda_nm):
-            raise ParameterError("lambda_nm must be a number")
+        if not math.isfinite(self.lambda_nm):
+            raise ParameterError("lambda_nm must be finite")
         for name in ("delay_bit1", "delay_bit0"):
             if not getattr(self, name) >= 0:  # NaN fails, inf passes
                 raise ParameterError(f"{name} must be a non-negative number")

@@ -19,9 +19,6 @@ from fwmqkd._kernels import (
     se_argmin,
 )
 
-# The kernel module, under the backend name that manifests record.
-BACKENDS = [pytest.param(_kernels, id=_kernels.BACKEND)]
-
 # Published known-answer vectors for the 10-round Philox4x32 generator.
 KAT = [
     (
@@ -42,54 +39,49 @@ KAT = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("ctr,key,expected", KAT)
-def test_philox_known_answer_vectors(backend, ctr, key, expected):
+def test_philox_known_answer_vectors(ctr, key, expected):
     ctr_arr = np.array([ctr], dtype=np.uint32)
     key_arr = np.array(key, dtype=np.uint32)
-    out = np.asarray(backend.philox4x32(ctr_arr, key_arr))
+    out = np.asarray(_kernels.philox4x32(ctr_arr, key_arr))
     assert out.dtype == np.uint32
     assert tuple(int(w) for w in out[0]) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_philox_counter_blocks_are_independent_rows(backend):
+def test_philox_counter_blocks_are_independent_rows():
     ctrs = np.array([[i, 0, 0, 0] for i in range(8)], dtype=np.uint32)
     key = np.array([123, 456], dtype=np.uint32)
-    batch = np.asarray(backend.philox4x32(ctrs, key))
+    batch = np.asarray(_kernels.philox4x32(ctrs, key))
     for i in range(8):
-        single = np.asarray(backend.philox4x32(ctrs[i : i + 1], key))
+        single = np.asarray(_kernels.philox4x32(ctrs[i : i + 1], key))
         assert np.array_equal(batch[i], single[0])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pulse_randoms_chunk_invariance(backend):
+def test_pulse_randoms_chunk_invariance():
     seed = 20260814
-    whole = backend.pulse_randoms(seed, STREAM_SESSION, 0, 100)
+    whole = _kernels.pulse_randoms(seed, STREAM_SESSION, 0, 100)
     parts = [
-        backend.pulse_randoms(seed, STREAM_SESSION, 0, 37),
-        backend.pulse_randoms(seed, STREAM_SESSION, 37, 41),
-        backend.pulse_randoms(seed, STREAM_SESSION, 78, 22),
+        _kernels.pulse_randoms(seed, STREAM_SESSION, 0, 37),
+        _kernels.pulse_randoms(seed, STREAM_SESSION, 37, 41),
+        _kernels.pulse_randoms(seed, STREAM_SESSION, 78, 22),
     ]
     for k in range(5):
         joined = np.concatenate([np.asarray(p[k]) for p in parts])
         assert np.array_equal(np.asarray(whole[k]), joined)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streams_do_not_collide(backend):
+def test_streams_do_not_collide():
     seed = 11
-    a = np.asarray(backend.pulse_randoms(seed, STREAM_GENERIC, 0, 256)[0])
-    b = np.asarray(backend.pulse_randoms(seed, STREAM_SESSION, 0, 256)[0])
-    c = np.asarray(backend.pulse_randoms(seed, STREAM_DETECTOR, 0, 256)[0])
+    a = np.asarray(_kernels.pulse_randoms(seed, STREAM_GENERIC, 0, 256)[0])
+    b = np.asarray(_kernels.pulse_randoms(seed, STREAM_SESSION, 0, 256)[0])
+    c = np.asarray(_kernels.pulse_randoms(seed, STREAM_DETECTOR, 0, 256)[0])
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(b, c)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_uniforms_live_in_unit_interval(backend):
-    u_gain, u_h, u_v, delay, basis = backend.pulse_randoms(
+def test_uniforms_live_in_unit_interval():
+    u_gain, u_h, u_v, delay, basis = _kernels.pulse_randoms(
         5, STREAM_DETECTOR, 0, 50_000
     )
     for u in (u_gain, u_h, u_v):
@@ -250,7 +242,7 @@ def test_pruned_se_argmin_matches_the_brute_force(block, case):
 def test_pruned_se_argmin_on_the_default_grid(tmp_path):
     from fwmqkd.config import DEFAULTS
     from fwmqkd.pipeline import _read_ratio_csv, run_contrast_map
-    from fwmqkd.reconstruct import DEFAULT_GRID, _ratio_tables
+    from fwmqkd.reconstruct import DEFAULT_GRID, TIE_EPS, _ratio_tables
 
     config = copy.deepcopy(DEFAULTS)
     config["contrast_map"]["points"] = 1000
@@ -265,7 +257,7 @@ def test_pruned_se_argmin_on_the_default_grid(tmp_path):
                          tab0[rows, 5]])
     g45 = np.concatenate([g45, tab45[rows, rows % 300], tab45[0, :3], [0.0, 1.0, 0.0],
                           (tab45[rows, 5] + tab45[rows, 6]) / 2.0])
-    _assert_matches_oracle(tab0, tab45, g0, g45, DEFAULT_GRID.tie_eps)
+    _assert_matches_oracle(tab0, tab45, g0, g45, TIE_EPS)
 
 
 def _digest(*arrays):
@@ -292,14 +284,12 @@ KERNEL_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed,stream,start,count,randoms_sha,counts_sha", KERNEL_GOLDEN)
-def test_kernel_outputs_match_golden_digests(backend, seed, stream, start, count,
-                                             randoms_sha, counts_sha):
-    randoms = [np.asarray(a) for a in backend.pulse_randoms(seed, stream, start, count)]
+def test_kernel_outputs_match_golden_digests(seed, stream, start, count, randoms_sha, counts_sha):
+    randoms = [np.asarray(a) for a in _kernels.pulse_randoms(seed, stream, start, count)]
     assert [a.dtype for a in randoms] == [np.float64] * 3 + [np.uint8] * 2
     assert _digest(*randoms) == randoms_sha
-    n, clamped = backend.poisson_counts(randoms[1], np.linspace(0.0, 4.0, count), 5)
+    n, clamped = _kernels.poisson_counts(randoms[1], np.linspace(0.0, 4.0, count), 5)
     n, clamped = np.asarray(n), np.asarray(clamped)
     assert (n.dtype, clamped.dtype) == (np.int64, np.bool_)
     assert _digest(n, clamped) == counts_sha

@@ -1,5 +1,6 @@
 """Grid-search field recovery from two-setting intensity ratios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,13 +48,16 @@ class TestGridSpec:
         assert DEFAULT_GRID.psi_axis()[-1] <= math.pi / 2
         assert DEFAULT_GRID.phi_axis()[-1] <= math.pi / 2
 
+    def test_only_the_steps_and_xi_are_settable(self):
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["psi_step", "phi_step", "xi"]
+        want = -math.pi / 2 + 0.01 * np.arange(315)
+        assert DEFAULT_GRID.phi_axis().tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             GridSpec(psi_step=0.0)
         with pytest.raises(ParameterError):
             GridSpec(phi_step=-0.01)
-        with pytest.raises(ParameterError):
-            GridSpec(phi_min=1.0, phi_max=-1.0)
         with pytest.raises(ParameterError):
             GridSpec(xi=0.0)
 
@@ -134,6 +138,16 @@ def test_pure_vertical_field_is_degenerate_in_phase():
     # tie break keeps the first grid point in row-major order
     assert result.index == (0, 0)
     assert result.phi == pytest.approx(-math.pi / 2, abs=1e-12)
+
+
+def test_a_pair_midway_between_two_grid_points_ties_within_tie_eps():
+    """gamma_0 does not depend on phi, so a gamma_45 midway between two
+    neighbours of a row is equally far from both up to rounding, which
+    reconstruct.TIE_EPS absorbs."""
+    _, _, tab0, tab45 = reconstruct._ratio_tables(DEFAULT_GRID)
+    result = reconstruct_field(tab0[161, 170], (tab45[161, 170] + tab45[161, 171]) / 2.0)
+    assert result.n_ties == 2
+    assert result.index in ((161, 170), (161, 171))
 
 
 def test_reconstruction_tolerates_one_percent_noise():

@@ -104,7 +104,8 @@ class TestSessionConfig:
         with pytest.raises(ParameterError):
             SessionConfig(delay_bit1=-1.0)
         for name, bad in [("delay_bit1", math.nan), ("delay_bit0", math.nan),
-                          ("lambda_nm", math.nan), ("cycles", 2.5)]:
+                          ("lambda_nm", math.nan), ("lambda_nm", math.inf),
+                          ("lambda_nm", -math.inf), ("cycles", 2.5)]:
             with pytest.raises(ParameterError, match=name):
                 SessionConfig(**{name: bad})
         # Whether an infinite delay is valid is left to a config-wide decision.
