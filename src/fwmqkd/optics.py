@@ -95,6 +95,30 @@ def intensity_pair(a_h, a_v, phi, theta_qwp: float):
     return np.abs(out_h) ** 2, np.abs(out_v) ** 2
 
 
+def per_field_intensity_pair(a_h, a_v, phi, theta_qwp: float):
+    """intensity_pair of each field as if called on that field's Python floats.
+
+    Such a call runs numpy's scalar arithmetic, which differs from the array
+    loops in the last bit at two steps.  The scalar complex product rounds
+    each of the four real products of (xu - yv) + (xv + yu)i, so those are
+    spelled out here; and a scalar ** 2 calls libm pow, which float_power
+    with an array exponent also does, where an array ** 2 squares instead.
+    Every other step already agrees elementwise.
+    """
+    q = qwp_matrix(theta_qwp)
+    e_h = np.exp(1j * np.asarray(phi, dtype=np.float64))
+    e_h *= a_h
+    e_v = np.asarray(a_v, dtype=np.float64)
+    ports = []
+    for q_h, q_v in q:
+        out = q_v * e_v
+        out.real += q_h.real * e_h.real - q_h.imag * e_h.imag
+        out.imag += q_h.real * e_h.imag + q_h.imag * e_h.real
+        magnitude = np.abs(out)
+        ports.append(np.float_power(magnitude, np.full(magnitude.shape, 2.0), out=magnitude))
+    return ports[0], ports[1]
+
+
 def detected_intensities(field: SignalField, theta_qwp: float) -> tuple[float, float]:
     """intensity_pair of one field as 1-element arrays, equal to the array call bit for bit."""
     i_h, i_v = intensity_pair([field.a_h], [field.a_v], [field.phi], theta_qwp)

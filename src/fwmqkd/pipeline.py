@@ -24,7 +24,7 @@ from . import session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
 from .config import ENV_OUTPUT_DIR, attenuation_from, grid_spec_from, model_params_from, session_config_from
 from .errors import ConfigError
-from .optics import detected_intensities, intensity_pair, polarization_contrast
+from .optics import detected_intensities, intensity_pair, per_field_intensity_pair, polarization_contrast
 from .photons import (
     contrast_from_tally,
     draw_photon_counts,
@@ -423,17 +423,15 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
     results = reconstruct_map(pairs, grid) if live.any() else []
 
     fields = np.full((4, n_cells), np.nan)  # A_H, A_V, phi, SE; NaN in gaps
+    fields[:, live] = np.fromiter(((r.field.a_h, r.field.a_v, r.field.phi, r.se) for r in results),
+                                  dtype=(np.float64, 4), count=len(results)).T
     status = np.full(n_cells, "gap", dtype="U5")
-    ports = np.empty((len(results), 2, 2))  # (live cell, setting, port H/V)
-    for k, (i, res) in enumerate(zip(np.flatnonzero(live), results)):
-        rec = res.field
-        fields[:, i] = rec.a_h, rec.a_v, rec.phi, res.se
-        status[i] = "true" if res.degenerate else "false"
-        for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
-            # Scalar on purpose: the array evaluation differs in the last bit.
-            ports[k, s] = intensity_pair(rec.a_h, rec.a_v, rec.phi, theta)
+    status[live] = np.where([r.degenerate for r in results], "true", "false")
     p_meas = 2.0 * pairs * (1.0 + grid.xi) / (1.0 + pairs) - 1.0
-    residuals = np.abs(polarization_contrast(ports[..., 0], ports[..., 1]) - p_meas)
+    residuals = np.empty_like(p_meas)
+    for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
+        residuals[:, s] = np.abs(polarization_contrast(
+            *per_field_intensity_pair(*fields[:3, live], theta)) - p_meas[:, s])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"

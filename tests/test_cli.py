@@ -1,13 +1,16 @@
 """End-to-end command behavior: files, formats, exit codes, env handling."""
 
+import contextlib
 import copy
 import hashlib
+import inspect
 import json
 import math
 import tempfile
 import warnings
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_csv, read_json, tree_bytes
-from fwmqkd import pipeline, session
+from fwmqkd import optics, pipeline, reconstruct, session
 from fwmqkd.config import DEFAULTS
 from fwmqkd.errors import ConfigError
 
@@ -275,6 +278,58 @@ class TestReconstruct:
         _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
         assert [r[:2] for r in rows] == [["-0.0", "500.0"], ["-0.0", "510.0"]]
 
+    # reconstruction.csv and residuals.json digests captured before the
+    # residuals and the field columns were filled as arrays.
+    @pytest.mark.parametrize("rows,gaps,digests", [
+        (["0.0,500.0,nan,0.5", "0.0,510.0,-1.0,0.5", "250.0,500.0,1.0,inf"], 4, {
+            "reconstruction.csv": "0251f75d01fc50abf0255b3c45b457511e8cf5d319f4b5b12ad4823d177121fb",
+            "residuals.json": "a76b17d17cffbf203722e8034313ae40c8536b3914cec0011c6737530347df10",
+        }),
+        (["0.0,500.0,1.2,0.9"], 0, {
+            "reconstruction.csv": "75b0b0fcf842824016ce0087d54206259ffcaa00a7c2dae2778d9b8259587b9a",
+            "residuals.json": "3714fb4fb5291b23369a10481ae6ac1d72c7b00d9a3abc4771d9c7202ee1f9cf",
+        }),
+        (GAPPED_RATIO_ROWS, 4, {
+            "reconstruction.csv": "6e2c4b80045350b0bf7f2f92af1ca0b7cf64bd3857e43b3b28fd3395226a001a",
+            "residuals.json": "76120751843249c0b44f13446ad4176b85002c0aa1d53f67f4c6225a18c11c89",
+        }),
+    ], ids=["every-cell-a-gap", "one-live-cell", "gaps-between-live-cells"])
+    def test_edge_tables_keep_their_bytes(self, run_cli, tmp_path, rows, gaps, digests):
+        src = tmp_path / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + "\n".join(rows) + "\n")
+        assert run_cli("reconstruct", "--input", str(src), "--out", "r") == 0
+        out = run_cli.cwd / "r"
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+        residuals = read_json(out / "residuals.json")
+        assert residuals["cells_gap"] == gaps
+        no_live_cell = gaps == residuals["cells_total"]
+        assert (residuals["max_abs_p_residual"] is None) == no_live_cell
+        assert (residuals["rms_p_residual"] is None) == no_live_cell
+
+    def test_the_optics_calls_do_not_grow_with_the_cell_count(self, tmp_path):
+        # Every optics function that pipeline or reconstruct looks up is
+        # counted, so a per-cell loop over any of them calls it more often
+        # at 50 cells than at 5.
+        reconstruct.reconstruct_map([(1.0, 1.0)])  # caches the ratio tables first
+        targets = [(module, name) for module in (pipeline, reconstruct)
+                   for name, value in vars(optics).items()
+                   if inspect.isfunction(value) and value.__module__ == optics.__name__
+                   and getattr(module, name, None) is value]
+        calls = []
+        for cells in (5, 50):
+            src = tmp_path / f"ratios{cells}.csv"
+            src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + "".join(
+                f"0.0,{500 + k}.0,{0.1 * k},{1.0 + 0.01 * k}\n" for k in range(cells)))
+            with contextlib.ExitStack() as stack:
+                spies = {f"{module.__name__}.{name}": stack.enter_context(
+                    mock.patch.object(module, name, wraps=getattr(optics, name)))
+                    for module, name in targets}
+                pipeline.run_reconstruct(copy.deepcopy(DEFAULTS), tmp_path / f"r{cells}", str(src))
+            calls.append({name: spy.call_count for name, spy in spies.items()})
+        assert calls[0] == calls[1]
+        assert calls[0]["fwmqkd.pipeline.per_field_intensity_pair"] == 2
+
     @settings(max_examples=25)
     @given(order=st.permutations(range(len(GAPPED_RATIO_ROWS))))
     def test_the_row_order_of_the_input_changes_no_byte(self, order):
@@ -469,9 +524,10 @@ class TestDetectorCheck:
 
 
 class TestGoldenDigests:
-    """SHA-256 of every CSV table the CLI writes, at small sizes and the
-    default seed, captured before the CSV writer went column-wise; any
-    change to them changes the artifact bytes."""
+    """SHA-256 of every CSV table the CLI writes, and of reconstruct's
+    residuals.json, at small sizes and the default seed; the CSV digests
+    were captured before the CSV writer went column-wise.  Any change to
+    them changes the artifact bytes."""
 
     @staticmethod
     def _digests(directory):
@@ -505,6 +561,16 @@ class TestGoldenDigests:
         _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
         assert [r[6] for r in rows] == ["false", "false", "gap", "false", "gap", "true"]
         assert self._digests(run_cli.cwd / "r") == RECONSTRUCTION_DIGESTS
+
+    def test_reconstruction_of_the_small_map_chain(self, run_cli, tmp_path):
+        # Captured before the residuals were evaluated as arrays.
+        cfg = _write_config(tmp_path / "c.json", SMALL_MAP)
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 0
+        assert run_cli("reconstruct", "--input", str(run_cli.cwd / "m" / "ratios.csv"),
+                       "--out", "r") == 0
+        out = run_cli.cwd / "r"
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in SMALL_MAP_RECONSTRUCTION_DIGESTS} == SMALL_MAP_RECONSTRUCTION_DIGESTS
 
     def test_detector_records(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json", {"detector_check": {"pulses": 1000}})
@@ -705,6 +771,10 @@ CONTRAST_MAP_DIGESTS = {
 }
 RECONSTRUCTION_DIGESTS = {
     "reconstruction.csv": "1b635ad5affd3ffb597af60c229f6feded95a23b6080c779906a205993aaa9ab",
+}
+SMALL_MAP_RECONSTRUCTION_DIGESTS = {
+    "reconstruction.csv": "3636d7f81905c756726c25845dc39dda784b53f2dc37a18b12dd700dbd48abb0",
+    "residuals.json": "cb008d94eeebeb6d63221b8129de4fa27adc8502238c3d7908e17ee060890de4",
 }
 DETECTOR_DIGESTS = {
     "records.csv": "a12080936e9223c834562475036f5fe758ba8bb17b45ac6e40d8ad067a257284",

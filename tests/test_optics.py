@@ -12,11 +12,13 @@ from fwmqkd.optics import (
     SignalField,
     detected_intensities,
     intensity_pair,
+    per_field_intensity_pair,
     polarization_contrast,
     qwp_matrix,
     rotation_matrix,
     wrap_phase,
 )
+from fwmqkd.reconstruct import DEFAULT_GRID, THETA_MIX, THETA_SPLIT
 
 THETAS = (0.0, 0.3, math.pi / 4, 1.2, -0.8)
 
@@ -155,6 +157,42 @@ def test_broadcasting_route_agrees_with_matrix_route():
             i_h, i_v = detected_intensities(SignalField(a_h[k], a_v[k], phi[k]), theta)
             assert vec_h[k] == pytest.approx(i_h, abs=1e-14)
             assert vec_v[k] == pytest.approx(i_v, abs=1e-14)
+
+
+def _assert_per_field_bits(a_h, a_v, phi):
+    """per_field_intensity_pair against one intensity_pair call per field on
+    its Python floats, compared as bits so that -0.0 counts."""
+    for theta in (THETA_SPLIT, THETA_MIX):
+        got = per_field_intensity_pair(np.array(a_h), np.array(a_v), np.array(phi), theta)
+        want = np.array([intensity_pair(*field, theta) for field in zip(a_h, a_v, phi)])
+        for port in range(2):
+            np.testing.assert_array_equal(_bits(got[port]), _bits(want[:, port]))
+
+
+# Grid points as reconstruct_map builds its fields: A_H = sin psi and
+# A_V = cos psi by math, phi on the principal branch.
+_GRID_POINTS = st.tuples(st.floats(0.0, math.pi / 2), st.floats(-math.pi / 2, math.pi / 2))
+
+
+@given(points=st.lists(_GRID_POINTS, min_size=1, max_size=40))
+def test_per_field_pairs_keep_the_scalar_bits(points):
+    _assert_per_field_bits([math.sin(psi) for psi, _ in points],
+                           [math.cos(psi) for psi, _ in points],
+                           [phi for _, phi in points])
+
+
+def test_per_field_pairs_keep_the_scalar_bits_on_the_default_grid():
+    psi = DEFAULT_GRID.psi_axis().tolist()
+    phi = DEFAULT_GRID.phi_axis().tolist()
+    _assert_per_field_bits([math.sin(p) for p in psi for _ in phi],
+                           [math.cos(p) for p in psi for _ in phi],
+                           phi * len(psi))
+
+
+def test_per_field_pairs_keep_the_scalar_bits_on_edge_fields():
+    fields = [(a_h, a_v, phi) for a_h, a_v in ((0.0, 1.0), (1.0, 0.0))
+              for phi in (math.pi / 2, -math.pi / 2, 0.0, -0.0, math.pi)]
+    _assert_per_field_bits(*map(list, zip(*fields)))
 
 
 def test_polarization_contrast_values_and_errors():
