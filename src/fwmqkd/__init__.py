@@ -19,6 +19,7 @@ from .optics import SignalField, detected_intensities, polarization_contrast, qw
 from .photons import AttenuationConfig, ContrastStats, accumulate_contrast, draw_photon_counts
 from .reconstruct import (
     GridSpec,
+    ReconstructionMap,
     ReconstructionResult,
     intensity_ratio,
     reconstruct_field,
@@ -49,6 +50,7 @@ __all__ = [
     "MessageEncodingError",
     "ModelParams",
     "ParameterError",
+    "ReconstructionMap",
     "ReconstructionResult",
     "SchemaError",
     "SessionConfig",

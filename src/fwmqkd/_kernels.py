@@ -243,8 +243,16 @@ def poisson_bracket(u: np.ndarray, lam_lo: np.ndarray, lam_hi: np.ndarray, max_p
 
 
 def _range_bound(lo, hi, g):
-    """Lower bound of the computed (t - g) ** 2 over every t in [lo, hi]."""
-    return np.where(g < lo, (lo - g) ** 2, np.where(g > hi, (hi - g) ** 2, 0.0))
+    """Lower bound of the computed (t - g) ** 2 over every t in [lo, hi].
+
+    Below the range this is (lo - g) ** 2 and above it (hi - g) ** 2, bit for
+    bit, since fl(hi - g) == -fl(g - hi) and squaring drops the sign; inside
+    it both differences are <= 0 and the bound is +0.0.
+    """
+    d = lo - g
+    np.maximum(d, g - hi, out=d)
+    np.maximum(d, 0.0, out=d)
+    return np.square(d, out=d)
 
 
 def _squared_errors(tab0, tab45, rows, g0, g45):
@@ -252,13 +260,9 @@ def _squared_errors(tab0, tab45, rows, g0, g45):
     return (tab0[rows] - g0[:, None]) ** 2 + (tab45[rows] - g45[:, None]) ** 2
 
 
-def _search_block(tab0, tab45, row_stats, g0, g45, tie_eps):
-    """se_argmin's four result arrays for one block of pairs."""
+def _scan_candidates(tab0, tab45, bound, ub, g0, g45, tie_eps):
+    """se_argmin's four result arrays for pairs whose bound leaves several rows open."""
     n_rows = tab0.shape[0]
-    lo0, hi0, lo45, hi45 = row_stats
-    bound = _range_bound(lo0, hi0, g0[:, None]) + _range_bound(lo45, hi45, g45[:, None])
-    best = np.argmin(bound, axis=1)
-    ub = _squared_errors(tab0, tab45, best, g0, g45).min(axis=1)
     # Row-major order, so each pair's candidate rows are contiguous and the
     # first minimum among them is the brute force's first minimum.
     pair, row = np.nonzero(bound <= (ub + tie_eps)[:, None])
@@ -285,6 +289,26 @@ def _search_block(tab0, tab45, row_stats, g0, g45, tie_eps):
     return row[first], row_arg[first], se_min, n_ties
 
 
+def _search_block(tab0, tab45, row_stats, g0, g45, tie_eps):
+    """se_argmin's four result arrays for one block of pairs."""
+    lo0, hi0, lo45, hi45 = row_stats
+    bound = _range_bound(lo0, hi0, g0[:, None])
+    bound += _range_bound(lo45, hi45, g45[:, None])
+    best = np.argmin(bound, axis=1)
+    se = _squared_errors(tab0, tab45, best, g0, g45)
+    ub = se.min(axis=1)
+    threshold = (ub + tie_eps)[:, None]
+    # The best row's bound is <= ub, so it is always open.  Where it is the
+    # only open row, every other row is pruned and its SE row is the result.
+    out = best, se.argmin(axis=1), ub, np.count_nonzero(se <= threshold, axis=1)
+    rest = np.flatnonzero(np.count_nonzero(bound <= threshold, axis=1) > 1)
+    if rest.size:
+        for arr, part in zip(out, _scan_candidates(tab0, tab45, bound[rest], ub[rest],
+                                                   g0[rest], g45[rest], tie_eps)):
+            arr[rest] = part
+    return out
+
+
 def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0, g45, tie_eps: float):
     """Squared-error argmin over the (psi, phi) ratio tables, per ratio pair.
 
@@ -299,8 +323,9 @@ def se_argmin(tab0: np.ndarray, tab45: np.ndarray, g0, g45, tie_eps: float):
     column, so a block's (pairs, rows) arrays never outgrow the tables.  Per
     pair, every row gets a lower bound on its SE from the row's tab0 and
     tab45 ranges.  The exact SE of the row with the least bound gives an
-    upper bound ub on the minimum, and only rows whose bound is at most
-    ub + tie_eps are evaluated in full.
+    upper bound ub on the minimum.  Where no other row's bound is at most
+    ub + tie_eps, that one row gives the result; otherwise every row whose
+    bound is at most ub + tie_eps is evaluated in full.
 
     The bound needs no slack.  Round-to-nearest subtraction is monotone in
     each operand, squaring is monotone in the magnitude and addition is

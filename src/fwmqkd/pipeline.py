@@ -420,18 +420,17 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
     live = (np.isfinite(gamma) & (gamma >= 0)).all(axis=1)
     pairs = gamma[live]
     grid = grid_spec_from(config)
-    results = reconstruct_map(pairs, grid) if live.any() else []
-
     fields = np.full((4, n_cells), np.nan)  # A_H, A_V, phi, SE; NaN in gaps
-    fields[:, live] = np.fromiter(((r.field.a_h, r.field.a_v, r.field.phi, r.se) for r in results),
-                                  dtype=(np.float64, 4), count=len(results)).T
     status = np.full(n_cells, "gap", dtype="U5")
-    status[live] = np.where([r.degenerate for r in results], "true", "false")
-    p_meas = 2.0 * pairs * (1.0 + grid.xi) / (1.0 + pairs) - 1.0
-    residuals = np.empty_like(p_meas)
-    for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
-        residuals[:, s] = np.abs(polarization_contrast(
-            *per_field_intensity_pair(*fields[:3, live], theta)) - p_meas[:, s])
+    residuals = np.empty_like(pairs)
+    if live.any():
+        result = reconstruct_map(pairs, grid)
+        fields[:, live] = result.a_h, result.a_v, result.phi, result.se
+        status[live] = np.where(result.degenerate, "true", "false")
+        p_meas = 2.0 * pairs * (1.0 + grid.xi) / (1.0 + pairs) - 1.0
+        for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
+            residuals[:, s] = np.abs(polarization_contrast(
+                *per_field_intensity_pair(result.a_h, result.a_v, result.phi, theta)) - p_meas[:, s])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"
@@ -441,7 +440,7 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
     residual_path = out_dir / "residuals.json"
     write_json(residual_path, {
         "cells_total": n_cells,
-        "cells_gap": n_cells - len(results),
+        "cells_gap": n_cells - len(pairs),
         "cells_degenerate": int(np.count_nonzero(status == "true")),
         "max_abs_p_residual": float(residuals.max()) if residuals.size else None,
         "rms_p_residual": (math.sqrt(math.fsum(np.square(residuals).flat) / residuals.size)

@@ -151,13 +151,48 @@ class ReconstructionResult:
         return self.field.phi
 
 
+@dataclass(frozen=True, eq=False)
+class ReconstructionMap:
+    """Best grid points for a batch of ratio pairs, one column entry per pair.
+
+    psi, a_h, a_v, phi and se are float64 columns and n_ties, i_psi and
+    i_phi int64 columns, all in input order.  Item k is pair k's
+    ReconstructionResult, built on demand.
+    """
+
+    psi: np.ndarray
+    a_h: np.ndarray
+    a_v: np.ndarray
+    phi: np.ndarray
+    se: np.ndarray
+    n_ties: np.ndarray
+    i_psi: np.ndarray
+    i_phi: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.n_ties > 1
+
+    def __len__(self) -> int:
+        return self.se.size
+
+    def __getitem__(self, k: int) -> ReconstructionResult:
+        field = SignalField(float(self.a_h[k]), float(self.a_v[k]), float(self.phi[k]))
+        return ReconstructionResult(field, float(self.psi[k]), float(self.se[k]), int(self.n_ties[k]),
+                                    (int(self.i_psi[k]), int(self.i_phi[k])))
+
+
 def reconstruct_field(gamma_0: float, gamma_45: float, grid: GridSpec = DEFAULT_GRID) -> ReconstructionResult:
     """Recover the field from one measured ratio pair."""
     return reconstruct_map([(gamma_0, gamma_45)], grid)[0]
 
 
-def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> list[ReconstructionResult]:
-    """Reconstruct a batch of ratio pairs in one search, results in input order."""
+def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> ReconstructionMap:
+    """Reconstruct a batch of ratio pairs in one search, as columns in input order.
+
+    Each field is (sin psi, cos psi, phi) at its grid point, with sin and cos
+    from the math module, so the columns hold the bits of the scalar fields.
+    """
     pairs = np.asarray(ratio_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ParameterError("expected an (n, 2) array of ratio pairs")
@@ -169,9 +204,17 @@ def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> list[Reconstr
                              else "ratios must be non-negative")
     psi_axis, phi_axis, tab0, tab45 = _ratio_tables(grid)
     i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], TIE_EPS)
-    results = []
-    for i, j, se_k, ties in zip(i_psi.tolist(), i_phi.tolist(), se.tolist(), n_ties.tolist()):
-        psi = float(psi_axis[i])
-        field = SignalField(math.sin(psi), math.cos(psi), float(phi_axis[j]))
-        results.append(ReconstructionResult(field, psi, se_k, ties, (i, j)))
-    return results
+    sin_psi = np.array([math.sin(psi) for psi in psi_axis.tolist()])
+    cos_psi = np.array([math.cos(psi) for psi in psi_axis.tolist()])
+    result = ReconstructionMap(psi_axis[i_psi], sin_psi[i_psi], cos_psi[i_psi], phi_axis[i_phi],
+                               se, n_ties, i_psi, i_phi)
+    # SignalField's invariants hold per grid row and column, so they are
+    # checked on the axes; a pair on a failing row or column raises the
+    # error its own SignalField does.
+    row_ok = ((sin_psi >= 0) & (cos_psi >= 0)
+              & (np.abs(sin_psi * sin_psi + cos_psi * cos_psi - 1.0) <= 1e-9))
+    col_ok = (-math.pi < phi_axis) & (phi_axis <= math.pi)
+    fails = ~(row_ok[i_psi] & col_ok[i_phi])
+    if fails.any():
+        result[int(np.argmax(fails))]
+    return result

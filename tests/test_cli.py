@@ -37,6 +37,14 @@ def _write_config(path, payload):
     return str(path)
 
 
+def _ratio_table(tmp_path, cells):
+    """A ratios.csv of `cells` live cells at T = 0."""
+    src = tmp_path / f"ratios{cells}.csv"
+    src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + "".join(
+        f"0.0,{500 + k}.0,{0.1 * k},{1.0 + 0.01 * k}\n" for k in range(cells)))
+    return src
+
+
 class TestSpectra:
     def test_default_run_produces_one_file_per_condition(self, run_cli):
         assert run_cli("spectra", "--out", "s") == 0
@@ -318,9 +326,7 @@ class TestReconstruct:
                    and getattr(module, name, None) is value]
         calls = []
         for cells in (5, 50):
-            src = tmp_path / f"ratios{cells}.csv"
-            src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n" + "".join(
-                f"0.0,{500 + k}.0,{0.1 * k},{1.0 + 0.01 * k}\n" for k in range(cells)))
+            src = _ratio_table(tmp_path, cells)
             with contextlib.ExitStack() as stack:
                 spies = {f"{module.__name__}.{name}": stack.enter_context(
                     mock.patch.object(module, name, wraps=getattr(optics, name)))
@@ -329,6 +335,18 @@ class TestReconstruct:
             calls.append({name: spy.call_count for name, spy in spies.items()})
         assert calls[0] == calls[1]
         assert calls[0]["fwmqkd.pipeline.per_field_intensity_pair"] == 2
+
+    def test_a_run_builds_no_object_per_pair(self, tmp_path):
+        # run_reconstruct reads the search's columns, so neither a
+        # SignalField nor a ReconstructionResult is built for any pair.
+        reconstruct.reconstruct_map([(1.0, 1.0)])  # caches the ratio tables first
+        for cells in (5, 50):
+            src = _ratio_table(tmp_path, cells)
+            with mock.patch.object(reconstruct, "SignalField", wraps=reconstruct.SignalField) as fields, \
+                    mock.patch.object(reconstruct, "ReconstructionResult",
+                                      wraps=reconstruct.ReconstructionResult) as results:
+                pipeline.run_reconstruct(copy.deepcopy(DEFAULTS), tmp_path / f"r{cells}", str(src))
+            assert fields.call_count == results.call_count == 0
 
     @settings(max_examples=25)
     @given(order=st.permutations(range(len(GAPPED_RATIO_ROWS))))

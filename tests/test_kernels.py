@@ -257,7 +257,36 @@ def test_pruned_se_argmin_on_the_default_grid(tmp_path):
                          tab0[rows, 5]])
     g45 = np.concatenate([g45, tab45[rows, rows % 300], tab45[0, :3], [0.0, 1.0, 0.0],
                           (tab45[rows, 5] + tab45[rows, 6]) / 2.0])
-    _assert_matches_oracle(tab0, tab45, g0, g45, TIE_EPS)
+    with mock.patch.object(_kernels, "_scan_candidates", wraps=_kernels._scan_candidates) as scan:
+        _assert_matches_oracle(tab0, tab45, g0, g45, TIE_EPS)
+    # Both paths run: most pairs end at their best-bound row alone, and the
+    # pairs whose bound leaves other rows open go through the candidate scan.
+    scanned = sum(call.args[4].size for call in scan.call_args_list)
+    assert 0 < scanned < g0.size
+
+
+def _ref_range_bound(lo, hi, g):
+    """The np.where form _range_bound replaced, kept as its reference."""
+    return np.where(g < lo, (lo - g) ** 2, np.where(g > hi, (hi - g) ** 2, 0.0))
+
+
+# Signed zeros, the least subnormal, neighbours one ulp apart and the 1e9 a
+# ratio reaches at xi = 1e-9.  Every (lo, hi) pair of them with lo <= hi is a
+# range, (-0.0, 0.0) and (0.0, -0.0) included, and every one is also a g.
+_BOUND_EDGES = [-0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2**-52, 3.0, 1e9]
+
+
+@settings(max_examples=100)
+@given(g=st.lists(st.floats(0.0, 2e9), max_size=8),
+       ranges=st.lists(st.tuples(st.floats(0.0, 2e9), st.floats(0.0, 2e9)).map(sorted),
+                       max_size=8))
+def test_range_bound_keeps_the_bits_of_the_where_form(g, ranges):
+    ranges += [(a, b) for a in _BOUND_EDGES for b in _BOUND_EDGES if a <= b]
+    lo, hi = np.array(ranges).T
+    g = np.array(g + _BOUND_EDGES + lo.tolist() + hi.tolist())[:, None]
+    got, want = _kernels._range_bound(lo, hi, g), _ref_range_bound(lo, hi, g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _digest(*arrays):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwmqkd.errors import ParameterError
 from fwmqkd.optics import SignalField, detected_intensities
@@ -15,6 +17,7 @@ from fwmqkd.reconstruct import (
     THETA_MIX,
     THETA_SPLIT,
     GridSpec,
+    ReconstructionMap,
     intensity_ratio,
     measured_ratios,
     reconstruct_field,
@@ -178,3 +181,86 @@ def test_reconstruct_field_input_validation():
 def test_reconstruct_map_input_validation():
     with pytest.raises(ParameterError):
         reconstruct_map(np.zeros((3, 4)))
+
+
+def _result_bits(result):
+    """A ReconstructionResult with its floats as uint64 bits."""
+    floats = np.array([result.field.a_h, result.field.a_v, result.field.phi, result.psi, result.se])
+    return floats.view(np.uint64).tolist(), result.n_ties, result.index
+
+
+def _default_grid_pairs():
+    """Grid points, midpoints between phi neighbours and the psi = 0 row."""
+    _, _, tab0, tab45 = reconstruct._ratio_tables(DEFAULT_GRID)
+    rows = np.arange(0, tab0.shape[0], 13)
+    cols = rows * 7 % (tab0.shape[1] - 1)
+    return np.concatenate([
+        np.column_stack([tab0[rows, cols], tab45[rows, cols]]),
+        np.column_stack([tab0[rows, cols], (tab45[rows, cols] + tab45[rows, cols + 1]) / 2.0]),
+        np.column_stack([tab0[0, :5], tab45[0, :5]]),
+    ])
+
+
+@settings(max_examples=20)
+@given(extra=st.lists(st.tuples(st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e9)),
+                                st.floats(0.0, 5.0)), max_size=8))
+def test_every_item_of_the_column_result_is_its_own_scalar_search(extra):
+    pairs = np.concatenate([_default_grid_pairs(), np.array(extra).reshape(-1, 2)])
+    result = reconstruct_map(pairs)
+    assert len(result) == len(pairs)
+    for k, pair in enumerate(pairs):
+        assert _result_bits(result[k]) == _result_bits(reconstruct_field(*pair))
+    # The amplitude columns hold math.sin and math.cos of psi, not np.sin's.
+    psi = result.psi.tolist()
+    assert result.a_h.view(np.uint64).tolist() == np.array(
+        [math.sin(p) for p in psi]).view(np.uint64).tolist()
+    assert result.a_v.view(np.uint64).tolist() == np.array(
+        [math.cos(p) for p in psi]).view(np.uint64).tolist()
+    assert result.psi.tobytes() == DEFAULT_GRID.psi_axis()[result.i_psi].tobytes()
+    assert result.phi.tobytes() == DEFAULT_GRID.phi_axis()[result.i_phi].tobytes()
+
+
+_COLUMN_DTYPES = {"psi": np.float64, "a_h": np.float64, "a_v": np.float64, "phi": np.float64,
+                  "se": np.float64, "n_ties": np.int64, "i_psi": np.int64, "i_phi": np.int64}
+
+
+def test_the_column_result_is_a_sequence_of_its_items():
+    truth = SignalField(0.0, 1.0, 0.7)  # degenerate: every phi ties
+    result = reconstruct_map([(1.2, 0.9), measured_ratios(truth), (0.35, 1.7)])
+    assert isinstance(result, ReconstructionMap)
+    assert len(result) == 3
+    items = list(result)
+    assert [_result_bits(r) for r in items] == [_result_bits(result[k]) for k in range(3)]
+    assert _result_bits(result[-1]) == _result_bits(items[2])
+    assert _result_bits(result[-3]) == _result_bits(items[0])
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            result[k]
+    for name, dtype in _COLUMN_DTYPES.items():
+        column = getattr(result, name)
+        assert column.dtype == dtype and column.shape == (3,)
+    assert result.degenerate.tolist() == [r.degenerate for r in items] == [False, True, False]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.se = np.zeros(3)
+
+
+def test_an_empty_batch_gives_empty_columns():
+    result = reconstruct_map(np.zeros((0, 2)))
+    assert len(result) == 0 and list(result) == []
+    for name, dtype in _COLUMN_DTYPES.items():
+        column = getattr(result, name)
+        assert column.dtype == dtype and column.shape == (0,)
+    assert result.degenerate.shape == (0,)
+    with pytest.raises(IndexError):
+        result[0]
+
+
+def test_only_a_pair_on_an_invalid_grid_row_is_rejected():
+    """This psi step puts the last psi row one ulp past pi/2, where cos psi
+    is -1.6e-16.  Only a pair whose best grid point lies on that row fails,
+    with the error its SignalField raises."""
+    grid = GridSpec(psi_step=0.019883497807530338)
+    assert math.cos(grid.psi_axis()[-1]) < 0.0
+    assert len(reconstruct_map([(1.0, 1.0), (0.35, 1.7)], grid)) == 2
+    with pytest.raises(ParameterError, match="non-negative"):
+        reconstruct_map([(1.0, 1.0), (1e9, 1.0)], grid)
