@@ -13,7 +13,6 @@ import numpy as np
 BACKEND = "numpy"
 
 # Stream identifiers keep independent uses of the same seed uncorrelated.
-STREAM_GENERIC = 0
 STREAM_SESSION = 1
 STREAM_DETECTOR = 2
 

@@ -10,6 +10,7 @@ config file.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -17,9 +18,9 @@ from pathlib import Path
 
 from .errors import ConfigError, SchemaError
 from .photons import AttenuationConfig
-from .reconstruct import GridSpec
+from .reconstruct import DEFAULT_GRID
 from .session import SessionConfig
-from .spectral import DELTA_EV, EXCITON_WAVELENGTH_NM, ModelParams
+from .spectral import ModelParams
 
 ENV_OUTPUT_DIR = "FWMQKD_OUTPUT_DIR"
 ENV_SEED = "FWMQKD_SEED"
@@ -36,18 +37,10 @@ CHANNEL_PRESETS = {
 DEFAULTS: dict = {
     "seed": 20260814,
     "output_dir": None,
-    "model": {
-        "delta": 1.0,
-        "k_spin": 0.01,
-        "hilbert_sign": 1,
-        "lambda_x_nm": EXCITON_WAVELENGTH_NM,
-        "delta_ev": DELTA_EV,
-    },
-    "grid": {
-        "psi_step": 0.005,
-        "phi_step": 0.01,
-        "xi": 1e-9,
-    },
+    # The model and grid sections are the keyword arguments of ModelParams
+    # (all but its b0 table) and GridSpec, with the dataclass defaults.
+    "model": {f.name: f.default for f in dataclasses.fields(ModelParams) if f.name != "b0"},
+    "grid": dataclasses.asdict(DEFAULT_GRID),
     "spectra": {
         "t_list": [0.0],
         "e_min": -6.0,
@@ -188,22 +181,6 @@ def resolve_seed(cli_seed: int | None, config: dict) -> int:
     return seed
 
 
-def model_params_from(config: dict) -> ModelParams:
-    m = config["model"]
-    return ModelParams(
-        delta=m["delta"],
-        k_spin=m["k_spin"],
-        hilbert_sign=int(m["hilbert_sign"]),
-        lambda_x_nm=m["lambda_x_nm"],
-        delta_ev=m["delta_ev"],
-    )
-
-
-def grid_spec_from(config: dict) -> GridSpec:
-    g = config["grid"]
-    return GridSpec(psi_step=g["psi_step"], phi_step=g["phi_step"], xi=g["xi"])
-
-
 def attenuation_from(section: dict) -> AttenuationConfig:
     return AttenuationConfig(
         mean_total_photons=section["mean_total_photons"],
@@ -243,5 +220,5 @@ def session_config_from(config: dict, seed: int) -> SessionConfig:
         delay_bit0=q["delay_bit0"],
         threshold_mode=q["threshold_mode"],
         attenuation=attenuation_from(q),
-        params=model_params_from(config),
+        params=ModelParams(**config["model"]),
     )

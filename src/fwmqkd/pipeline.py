@@ -22,7 +22,7 @@ import numpy as np
 
 from . import session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
-from .config import ENV_OUTPUT_DIR, attenuation_from, grid_spec_from, model_params_from, session_config_from
+from .config import ENV_OUTPUT_DIR, attenuation_from, session_config_from
 from .errors import ConfigError
 from .optics import detected_intensities, intensity_pair, per_field_intensity_pair, polarization_contrast
 from .photons import (
@@ -34,9 +34,9 @@ from .photons import (
     resolution,
     tally_pairs,
 )
-from .reconstruct import THETA_MIX, THETA_SPLIT, intensity_ratio, reconstruct_map
+from .reconstruct import THETA_MIX, THETA_SPLIT, GridSpec, intensity_ratio, reconstruct_map
 from .session import run_session
-from .spectral import Condition, field_arrays, field_components, signal_spectrum
+from .spectral import Condition, ModelParams, field_arrays, field_components, signal_spectrum
 
 MANIFEST_NAME = "manifest.json"
 
@@ -279,7 +279,7 @@ def _delays(config: dict, key: str) -> list[float]:
 def run_spectra(config: dict, out_dir: Path) -> list[Path]:
     """One CSV per (delay, tensor condition) over the detection-energy grid."""
     section = config["spectra"]
-    params = model_params_from(config)
+    params = ModelParams(**config["model"])
     energies = _grid(config, "spectra", "e_min", "e_max")
     conditions = [Condition.from_string(name) for name in section["conditions"]]
     t_list = _delays(config, "spectra")
@@ -317,8 +317,8 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     ratios.csv uses the exact column layout the reconstruct command reads,
     so the two commands chain without editing.
     """
-    params = model_params_from(config)
-    xi = grid_spec_from(config).xi
+    params = ModelParams(**config["model"])
+    xi = GridSpec(**config["grid"]).xi
     lams = _grid(config, "contrast_map", "lambda_min", "lambda_max")
     if np.unique(lams).size < lams.size:  # ratios.csv would repeat a (T, lambda) cell
         raise ConfigError("contrast_map.points gives wavelengths that round together "
@@ -419,7 +419,7 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
     gamma[cell] = rows[:, 2:]
     live = (np.isfinite(gamma) & (gamma >= 0)).all(axis=1)
     pairs = gamma[live]
-    grid = grid_spec_from(config)
+    grid = GridSpec(**config["grid"])
     fields = np.full((4, n_cells), np.nan)  # A_H, A_V, phi, SE; NaN in gaps
     status = np.full(n_cells, "gap", dtype="U5")
     residuals = np.empty_like(pairs)
@@ -487,7 +487,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     written removes it, and the output directory if the run created it.
     """
     section = config["detector_check"]
-    params = model_params_from(config)
+    params = ModelParams(**config["model"])
     pulses = int(section["pulses"])
     if pulses < 1:
         raise ConfigError("detector_check.pulses must be at least 1")

@@ -72,7 +72,10 @@ class GridSpec:
             raise ParameterError("xi must be positive")
 
     def psi_axis(self) -> np.ndarray:
-        return self.psi_step * np.arange(_axis_points(math.pi / 2.0, self.psi_step))
+        """psi_step * k, clamped to pi/2: the product can round one ulp past
+        it, where cos psi is negative."""
+        return np.minimum(self.psi_step * np.arange(_axis_points(math.pi / 2.0, self.psi_step)),
+                          math.pi / 2.0)
 
     def phi_axis(self) -> np.ndarray:
         return PHI_MIN + self.phi_step * np.arange(_axis_points(PHI_SPAN, self.phi_step))
@@ -192,6 +195,8 @@ def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> Reconstructio
 
     Each field is (sin psi, cos psi, phi) at its grid point, with sin and cos
     from the math module, so the columns hold the bits of the scalar fields.
+    The axes keep psi in [0, pi/2] and phi in [-pi/2, pi/2] up to rounding,
+    so every grid point is a valid SignalField.
     """
     pairs = np.asarray(ratio_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -206,15 +211,5 @@ def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> Reconstructio
     i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], TIE_EPS)
     sin_psi = np.array([math.sin(psi) for psi in psi_axis.tolist()])
     cos_psi = np.array([math.cos(psi) for psi in psi_axis.tolist()])
-    result = ReconstructionMap(psi_axis[i_psi], sin_psi[i_psi], cos_psi[i_psi], phi_axis[i_phi],
-                               se, n_ties, i_psi, i_phi)
-    # SignalField's invariants hold per grid row and column, so they are
-    # checked on the axes; a pair on a failing row or column raises the
-    # error its own SignalField does.
-    row_ok = ((sin_psi >= 0) & (cos_psi >= 0)
-              & (np.abs(sin_psi * sin_psi + cos_psi * cos_psi - 1.0) <= 1e-9))
-    col_ok = (-math.pi < phi_axis) & (phi_axis <= math.pi)
-    fails = ~(row_ok[i_psi] & col_ok[i_phi])
-    if fails.any():
-        result[int(np.argmax(fails))]
-    return result
+    return ReconstructionMap(psi_axis[i_psi], sin_psi[i_psi], cos_psi[i_psi], phi_axis[i_phi],
+                             se, n_ties, i_psi, i_phi)

@@ -623,7 +623,7 @@ def _snapshots(traj: Trajectory) -> list[tuple[int, float, str]]:
 def _convergence(traj: Trajectory) -> tuple[bool, int | None, float | None]:
     """Smallest budget from which decoding stays perfect to the end."""
     perfect = traj.accuracy >= 1.0
-    if traj.budget.size == 0 or not perfect[-1]:
+    if not perfect[-1]:
         return False, None, None
     stays = np.minimum.accumulate(perfect[::-1])[::-1]
     idx = int(np.argmax(stays))

@@ -286,6 +286,17 @@ class TestReconstruct:
         _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
         assert [r[:2] for r in rows] == [["-0.0", "500.0"], ["-0.0", "510.0"]]
 
+    def test_a_pair_on_the_last_psi_row_of_an_overshooting_grid_reconstructs(self, run_cli,
+                                                                               tmp_path):
+        # psi_step * 79 rounds one ulp past pi/2, where this pair used to
+        # exit 2 with "field amplitudes must be non-negative".
+        src = tmp_path / "ratios.csv"
+        src.write_text("T_fs,lambda_nm,gamma_0,gamma_45\n0.0,500.0,1000000000.0,1.0\n")
+        cfg = _write_config(tmp_path / "c.json", {"grid": {"psi_step": 0.019883497807530338}})
+        assert run_cli("reconstruct", "--config", cfg, "--input", src, "--out", "r") == 0
+        _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
+        assert len(rows) == 1 and float(rows[0][3]) >= 0.0
+
     # reconstruction.csv and residuals.json digests captured before the
     # residuals and the field columns were filled as arrays.
     @pytest.mark.parametrize("rows,gaps,digests", [

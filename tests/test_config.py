@@ -1,5 +1,6 @@
 """Config loading, merging, coercion, and the derived parameter objects."""
 
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,7 @@ import pytest
 from fwmqkd.config import (
     CHANNEL_PRESETS,
     DEFAULTS,
-    grid_spec_from,
     load_config,
-    model_params_from,
     resolve_seed,
     session_config_from,
 )
@@ -33,10 +32,11 @@ def test_missing_path_returns_the_defaults():
 
 
 def test_the_config_defaults_build_the_library_defaults():
-    # DEFAULTS repeats the dataclass defaults, so the two must not drift.
+    # The model and grid sections are taken from their dataclasses; only the
+    # qkd section repeats library defaults, so it must not drift from them.
     cfg = load_config(None)
-    assert model_params_from(cfg) == ModelParams()
-    assert grid_spec_from(cfg) == GridSpec()
+    assert ModelParams(**cfg["model"]) == ModelParams()
+    assert GridSpec(**cfg["grid"]) == GridSpec()
     assert session_config_from(cfg, 7) == SessionConfig(seed=7)
 
 
@@ -115,16 +115,32 @@ def test_seed_range_edges_are_accepted(monkeypatch):
     assert resolve_seed(None, {"seed": 2**64 - 1}) == 2**64 - 1
 
 
-def test_model_params_follow_the_config(tmp_path):
-    cfg = _load(tmp_path, {"model": {"delta": 1.5, "hilbert_sign": -1}})
-    params = model_params_from(cfg)
-    assert params.delta == 1.5
-    assert params.hilbert_sign == -1
+# A valid value other than the default for every model and grid key.
+NON_DEFAULT = {
+    "model": {"delta": 1.5, "k_spin": 0.02, "hilbert_sign": -1, "lambda_x_nm": 520.0,
+              "delta_ev": 0.1},
+    "grid": {"psi_step": 0.01, "phi_step": 0.02, "xi": 1e-6},
+}
 
 
-def test_grid_spec_from_config(tmp_path):
-    cfg = _load(tmp_path, {"grid": {"xi": 1e-6}})
-    assert grid_spec_from(cfg).xi == 1e-6
+@pytest.mark.parametrize("key", sorted(DEFAULTS["model"]))
+def test_model_params_follow_the_config(tmp_path, key):
+    value = NON_DEFAULT["model"][key]
+    assert value != DEFAULTS["model"][key]
+    cfg = _load(tmp_path, {"model": {key: value}})
+    params = session_config_from(cfg, 1).params
+    assert getattr(params, key) == value
+    assert dataclasses.replace(params, **{key: DEFAULTS["model"][key]}) == ModelParams()
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS["grid"]))
+def test_grid_spec_from_config(tmp_path, key):
+    value = NON_DEFAULT["grid"][key]
+    assert value != DEFAULTS["grid"][key]
+    cfg = _load(tmp_path, {"grid": {key: value}})
+    grid = GridSpec(**cfg["grid"])
+    assert getattr(grid, key) == value
+    assert dataclasses.replace(grid, **{key: DEFAULTS["grid"][key]}) == GridSpec()
 
 
 class TestSessionConfigFrom:

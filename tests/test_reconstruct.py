@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwmqkd.errors import ParameterError
@@ -255,12 +255,26 @@ def test_an_empty_batch_gives_empty_columns():
         result[0]
 
 
-def test_only_a_pair_on_an_invalid_grid_row_is_rejected():
-    """This psi step puts the last psi row one ulp past pi/2, where cos psi
-    is -1.6e-16.  Only a pair whose best grid point lies on that row fails,
-    with the error its SignalField raises."""
+def test_a_psi_step_that_overshoots_pi_over_2_ends_the_axis_at_pi_over_2():
+    """psi_step * k rounds one ulp past pi/2 for this step, where cos psi is
+    -1.6e-16 and the pair (1e9, 1.0), whose best point is that last row, was
+    rejected.  The axis is clamped, so the pair reconstructs."""
     grid = GridSpec(psi_step=0.019883497807530338)
-    assert math.cos(grid.psi_axis()[-1]) < 0.0
-    assert len(reconstruct_map([(1.0, 1.0), (0.35, 1.7)], grid)) == 2
-    with pytest.raises(ParameterError, match="non-negative"):
-        reconstruct_map([(1.0, 1.0), (1e9, 1.0)], grid)
+    assert grid.psi_step * (grid.psi_axis().size - 1) > math.pi / 2
+    assert grid.psi_axis()[-1] == math.pi / 2
+    result = reconstruct_map([(1.0, 1.0), (1e9, 1.0)], grid)
+    assert result.i_psi[1] == grid.psi_axis().size - 1
+    assert result.psi[1] == math.pi / 2
+    assert result.a_v[1] == math.cos(math.pi / 2) >= 0.0
+    assert result[1].field.a_v >= 0.0
+
+
+# Steps of pi/(2k) put the last row at pi/2 up to rounding, so they are where
+# an axis can overshoot it; 0.019883497807530338 is pi/(2 * 79).
+@given(psi_step=st.one_of(st.floats(1e-4, 1.0),
+                          st.integers(2, 15_707).map(lambda k: math.pi / 2.0 / k)))
+@example(psi_step=0.019883497807530338)
+def test_every_psi_row_has_non_negative_sin_and_cos(psi_step):
+    psi = GridSpec(psi_step=psi_step).psi_axis()
+    assert psi[0] == 0.0 and psi[-1] <= math.pi / 2
+    assert all(math.sin(p) >= 0.0 and math.cos(p) >= 0.0 for p in psi.tolist())
