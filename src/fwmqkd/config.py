@@ -2,7 +2,8 @@
 
 A config file is a JSON object that overrides any subset of DEFAULTS; keys
 that do not exist in the defaults are rejected rather than silently
-ignored, and values must match the default's type.  Seeds resolve in the
+ignored, and values must match the default's type (a key whose default is
+null takes null or the one type NULLABLE gives it).  Seeds resolve in the
 order command line, then the FWMQKD_SEED environment variable, then the
 config file.
 """
@@ -34,6 +35,20 @@ CHANNEL_PRESETS = {
     "540nm": {"lambda_nm": 540.0, "decode_theta_deg": 0.0},
 }
 
+# The qkd keys passed to SessionConfig by name; the channel keys are
+# resolved against the preset first.
+SESSION_KEYS = ("message", "cycles", "delay_bit1", "delay_bit0", "threshold_mode")
+_ATTENUATION_DEFAULTS = dataclasses.asdict(AttenuationConfig())
+
+# The keys whose default is null, each with a value of the one other type
+# it takes.
+NULLABLE = {
+    "output_dir": "",
+    "reconstruct.input": "",
+    "qkd.lambda_nm": 0.0,
+    "qkd.decode_theta_deg": 0.0,
+}
+
 DEFAULTS: dict = {
     "seed": 20260814,
     "output_dir": None,
@@ -57,26 +72,22 @@ DEFAULTS: dict = {
     "reconstruct": {
         "input": None,
     },
+    # The qkd and detector_check sections hold SessionConfig's and
+    # AttenuationConfig's fields by name, with the dataclass defaults, except
+    # that detector-check draws from a source with gain noise (g2 1.2).
     "qkd": {
         "preset": "540nm",
         "lambda_nm": None,
         "decode_theta_deg": None,
-        "message": "Tar Heel",
-        "cycles": 1200,
-        "mean_total_photons": 1.0,
-        "g2_target": 1.0,
-        "max_photons": 5,
-        "delay_bit1": 0.0,
-        "delay_bit0": 500.0,
-        "threshold_mode": "running-mean",
+        **{f.name: f.default for f in dataclasses.fields(SessionConfig) if f.name in SESSION_KEYS},
+        **_ATTENUATION_DEFAULTS,
     },
     "detector_check": {
         "lambda_nm": 540.0,
         "t": 0.0,
         "pulses": 20000,
-        "mean_total_photons": 1.0,
+        **_ATTENUATION_DEFAULTS,
         "g2_target": 1.2,
-        "max_photons": 5,
     },
 }
 
@@ -99,10 +110,6 @@ def load_config(path: str | os.PathLike | None) -> dict:
     if not isinstance(data, dict):
         raise SchemaError("config root must be a JSON object")
     _merge(merged, data, "")
-    for where, value in (("output_dir", merged["output_dir"]),
-                         ("reconstruct.input", merged["reconstruct"]["input"])):
-        if value is not None and not isinstance(value, str):
-            raise SchemaError(f"config key {where!r} must be a path string or null")
     return merged
 
 
@@ -121,19 +128,10 @@ def _merge(base: dict, override: dict, prefix: str) -> None:
 
 
 def _coerced(default, value, where: str):
-    if isinstance(default, bool) or isinstance(value, bool):
-        if isinstance(default, bool) and isinstance(value, bool):
-            return value
+    if isinstance(value, bool):  # no key takes one, and bool is an int subclass
         raise SchemaError(f"config key {where!r} has the wrong type")
     if default is None:
-        # Nullable slots take a number, a string, or stay null.
-        if value is None:
-            return None
-        if isinstance(value, (int, float)) and math.isfinite(value):
-            return float(value)
-        if isinstance(value, str):
-            return value
-        raise SchemaError(f"config key {where!r} must be a number, string, or null")
+        return None if value is None else _coerced(NULLABLE[where], value, where)
     if isinstance(default, float):
         if isinstance(value, (int, float)) and math.isfinite(value):
             return float(value)
@@ -182,11 +180,7 @@ def resolve_seed(cli_seed: int | None, config: dict) -> int:
 
 
 def attenuation_from(section: dict) -> AttenuationConfig:
-    return AttenuationConfig(
-        mean_total_photons=section["mean_total_photons"],
-        g2_target=section["g2_target"],
-        max_photons=int(section["max_photons"]),
-    )
+    return AttenuationConfig(**{key: section[key] for key in _ATTENUATION_DEFAULTS})
 
 
 def session_config_from(config: dict, seed: int) -> SessionConfig:
@@ -202,23 +196,11 @@ def session_config_from(config: dict, seed: int) -> SessionConfig:
         base = CHANNEL_PRESETS[preset]
         lam = base["lambda_nm"] if lam is None else lam
         theta_deg = base["decode_theta_deg"] if theta_deg is None else theta_deg
-    try:
-        lam = float(lam)
-        theta_deg = float(theta_deg)
-    except (TypeError, ValueError):
-        raise ConfigError("qkd.lambda_nm and qkd.decode_theta_deg must be numbers") from None
-    for key, value in (("lambda_nm", lam), ("decode_theta_deg", theta_deg)):
-        if not math.isfinite(value):
-            raise ConfigError(f"qkd.{key} must be finite, got {value}")
     return SessionConfig(
-        message=q["message"],
-        cycles=int(q["cycles"]),
+        **{key: q[key] for key in SESSION_KEYS},
         seed=seed,
         lambda_nm=lam,
         decode_theta=math.radians(theta_deg),
-        delay_bit1=q["delay_bit1"],
-        delay_bit0=q["delay_bit0"],
-        threshold_mode=q["threshold_mode"],
         attenuation=attenuation_from(q),
         params=ModelParams(**config["model"]),
     )

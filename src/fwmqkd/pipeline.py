@@ -263,7 +263,7 @@ def _grid(config: dict, key: str, lo_key: str, hi_key: str) -> np.ndarray:
     if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
         raise ConfigError(f"{key}.{lo_key} and {key}.{hi_key} must be finite and less than "
                           f"1.8e308 apart, got {lo!r} and {hi!r}")
-    return np.linspace(lo, hi, int(section["points"]))
+    return np.linspace(lo, hi, section["points"])
 
 
 def _delays(config: dict, key: str) -> list[float]:
@@ -318,7 +318,7 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     so the two commands chain without editing.
     """
     params = ModelParams(**config["model"])
-    xi = GridSpec(**config["grid"]).xi
+    xi = config["grid"]["xi"]
     lams = _grid(config, "contrast_map", "lambda_min", "lambda_max")
     if np.unique(lams).size < lams.size:  # ratios.csv would repeat a (T, lambda) cell
         raise ConfigError("contrast_map.points gives wavelengths that round together "
@@ -488,7 +488,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     """
     section = config["detector_check"]
     params = ModelParams(**config["model"])
-    pulses = int(section["pulses"])
+    pulses = section["pulses"]
     if pulses < 1:
         raise ConfigError("detector_check.pulses must be at least 1")
     attenuation = attenuation_from(section)
@@ -498,7 +498,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     if pulses * n_max * (n_max - 1) >= 2**53:
         raise ConfigError("detector_check.pulses x n_max(n_max-1) must stay below 2^53, "
                           "with n_max = 2 x max_photons")
-    t = float(section["t"])
+    t = section["t"]
     fld = field_components(t, section["lambda_nm"], params)
     settings = [(0, THETA_SPLIT), (45, THETA_MIX)]
     ports = [detected_intensities(fld, theta) for _, theta in settings]

@@ -159,6 +159,23 @@ class TestContrastMap:
         assert err.startswith("error: contrast_map.points ") and err.count("\n") == 1
         assert not (run_cli.cwd / "m").exists()
 
+    def test_a_search_grid_it_never_builds_changes_no_byte(self, run_cli, tmp_path):
+        # contrast-map reads only grid.xi, so a psi_step far past the
+        # search-cell cap that reconstruct enforces is no error here.
+        cfg = _write_config(tmp_path / "c.json", {"grid": {"psi_step": 1e-12}})
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 0
+        assert run_cli("contrast-map", "--out", "d") == 0
+        m, d = run_cli.cwd / "m", run_cli.cwd / "d"
+        for name in ("ratios.csv", "contrast_map.csv"):
+            assert (m / name).read_bytes() == (d / name).read_bytes()
+
+    def test_a_zero_regularizer_is_rejected(self, run_cli, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", {"grid": {"xi": 0.0}})
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (run_cli.cwd / "m").exists()
+
 
 # Three delays, the first spelled three ways, and three wavelengths: one
 # cell is absent, three carry a nan, a negative or an inf ratio, and one the
@@ -441,14 +458,16 @@ class TestQkd:
         cfg = _write_config(tmp_path / "c.json", {"qkd": {"threshold_mode": "bogus"}})
         assert run_cli("qkd", "--config", cfg, "--out", "q") == 2
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    # The channel keys take a finite number or null; a string, even one that
+    # reads as a number, is a schema error named by its full key.
+    @pytest.mark.parametrize("value", ["540", "inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", ["lambda_nm", "decode_theta_deg"])
-    def test_a_non_finite_channel_string_is_rejected_by_name(self, run_cli, tmp_path, capsys,
-                                                             key, value):
+    def test_a_channel_string_is_rejected_by_name(self, run_cli, tmp_path, capsys, key, value):
         cfg = _write_config(tmp_path / "c.json",
                             {"qkd": {key: value, "message": "A", "cycles": 10}})
         assert run_cli("qkd", "--config", cfg, "--out", "q") == 2
-        assert capsys.readouterr().err == f"error: qkd.{key} must be finite, got {value}\n"
+        assert capsys.readouterr().err == (
+            f"error: config key 'qkd.{key}' must be a finite number\n")
         assert not (run_cli.cwd / "q").exists()
 
 

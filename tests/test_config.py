@@ -3,17 +3,22 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
 from fwmqkd.config import (
     CHANNEL_PRESETS,
     DEFAULTS,
+    NULLABLE,
+    SESSION_KEYS,
+    attenuation_from,
     load_config,
     resolve_seed,
     session_config_from,
 )
 from fwmqkd.errors import ConfigError, SchemaError
+from fwmqkd.photons import AttenuationConfig
 from fwmqkd.reconstruct import GridSpec
 from fwmqkd.session import SessionConfig
 from fwmqkd.spectral import ModelParams
@@ -32,12 +37,14 @@ def test_missing_path_returns_the_defaults():
 
 
 def test_the_config_defaults_build_the_library_defaults():
-    # The model and grid sections are taken from their dataclasses; only the
-    # qkd section repeats library defaults, so it must not drift from them.
+    # The model, grid, qkd and detector_check sections take their defaults
+    # from the dataclasses; the qkd channel keys come from the 540 nm preset
+    # and detector-check's source has gain noise.
     cfg = load_config(None)
     assert ModelParams(**cfg["model"]) == ModelParams()
     assert GridSpec(**cfg["grid"]) == GridSpec()
     assert session_config_from(cfg, 7) == SessionConfig(seed=7)
+    assert attenuation_from(cfg["detector_check"]) == AttenuationConfig(g2_target=1.2)
 
 
 def test_partial_override_merges_deeply(tmp_path):
@@ -62,6 +69,38 @@ def test_type_errors_are_schema_errors(tmp_path):
         _load(tmp_path, {"qkd": {"cycles": 3.5}})
     with pytest.raises(SchemaError):
         _load(tmp_path, {"spectra": {"t_list": "0,500"}})
+
+
+def _leaves(section, prefix=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", NULLABLE.get(f"{prefix}{key}", value)
+
+
+def _wrong_values(default):
+    """JSON values of the wrong type for a key of this default (or, for a
+    null-default key, of the one type it takes besides null)."""
+    if isinstance(default, list):
+        return [1.0, "x"]
+    if isinstance(default, str):
+        return [3, 1.5]
+    if isinstance(default, int):
+        return ["3", True, 1.5]
+    return ["1.0", True, [1.0]]
+
+
+@pytest.mark.parametrize("key,value", [
+    pytest.param(key, value, id=f"{key}={json.dumps(value)}")
+    for key, default in _leaves(DEFAULTS) for value in _wrong_values(default)
+])
+def test_a_value_of_the_wrong_type_is_rejected_by_its_full_key(tmp_path, key, value):
+    payload = value
+    for part in reversed(key.split(".")):
+        payload = {part: payload}
+    with pytest.raises(SchemaError, match=re.escape(repr(key))):
+        _load(tmp_path, payload)
 
 
 def test_integers_coerce_to_float_fields(tmp_path):
@@ -115,11 +154,16 @@ def test_seed_range_edges_are_accepted(monkeypatch):
     assert resolve_seed(None, {"seed": 2**64 - 1}) == 2**64 - 1
 
 
-# A valid value other than the default for every model and grid key.
+# A valid value other than the default for every model and grid key, and
+# for every SessionConfig and AttenuationConfig field the config spells.
+ATTENUATION_KEYS = [f.name for f in dataclasses.fields(AttenuationConfig)]
 NON_DEFAULT = {
     "model": {"delta": 1.5, "k_spin": 0.02, "hilbert_sign": -1, "lambda_x_nm": 520.0,
               "delta_ev": 0.1},
     "grid": {"psi_step": 0.01, "phi_step": 0.02, "xi": 1e-6},
+    "session": {"message": "Hi", "cycles": 30, "delay_bit1": 100.0, "delay_bit0": 250.0,
+                "threshold_mode": "fixed"},
+    "attenuation": {"mean_total_photons": 2.5, "g2_target": 1.5, "max_photons": 7},
 }
 
 
@@ -141,6 +185,36 @@ def test_grid_spec_from_config(tmp_path, key):
     grid = GridSpec(**cfg["grid"])
     assert getattr(grid, key) == value
     assert dataclasses.replace(grid, **{key: DEFAULTS["grid"][key]}) == GridSpec()
+
+
+@pytest.mark.parametrize("key", SESSION_KEYS)
+def test_session_config_follows_the_qkd_section(tmp_path, key):
+    value = NON_DEFAULT["session"][key]
+    assert value != DEFAULTS["qkd"][key]
+    sc = session_config_from(_load(tmp_path, {"qkd": {key: value}}), 1)
+    assert getattr(sc, key) == value
+    assert dataclasses.replace(sc, **{key: DEFAULTS["qkd"][key]}) == SessionConfig(seed=1)
+
+
+@pytest.mark.parametrize("key", ATTENUATION_KEYS)
+def test_the_session_attenuation_follows_the_qkd_section(tmp_path, key):
+    value = NON_DEFAULT["attenuation"][key]
+    assert value != DEFAULTS["qkd"][key]
+    sc = session_config_from(_load(tmp_path, {"qkd": {key: value}}), 1)
+    assert getattr(sc.attenuation, key) == value
+    restored = dataclasses.replace(sc.attenuation, **{key: DEFAULTS["qkd"][key]})
+    assert dataclasses.replace(sc, attenuation=restored) == SessionConfig(seed=1)
+
+
+@pytest.mark.parametrize("key", ATTENUATION_KEYS)
+def test_the_detector_attenuation_follows_its_section(tmp_path, key):
+    value = NON_DEFAULT["attenuation"][key]
+    assert value != DEFAULTS["detector_check"][key]
+    cfg = _load(tmp_path, {"detector_check": {key: value}})
+    attenuation = attenuation_from(cfg["detector_check"])
+    assert getattr(attenuation, key) == value
+    assert (dataclasses.replace(attenuation, **{key: DEFAULTS["detector_check"][key]})
+            == AttenuationConfig(g2_target=1.2))
 
 
 class TestSessionConfigFrom:
