@@ -29,6 +29,12 @@ from .errors import DegenerateInputError, ParameterError
 VOLTS_PER_PHOTON = 0.6
 SIPM_NOISE_VOLTS = 0.05
 
+# sipm_roundtrip_ok decides a pulse without the emulation when its noise
+# uniform lies in [SIPM_SAFE_U, 1 - SIPM_SAFE_U] and its count in
+# [0, SIPM_COUNT_BOUND); see there.
+SIPM_SAFE_U = 1e-8
+SIPM_COUNT_BOUND = 1 << 20
+
 # The gain map is tabulated at u = j / GAIN_KNOTS, and each cell's gain
 # bracket is widened by GAIN_SLACK relative at both ends (see gain_cells).
 GAIN_KNOTS = 1 << 12
@@ -425,7 +431,8 @@ def emulate_sipm(counts, noise_u):
 
     noise_u is a uniform array mapped through the normal quantile to
     gaussian jitter of width SIPM_NOISE_VOLTS, a twelfth of the single-photon
-    step, so a misround needs a six sigma excursion.
+    step, so a misround needs a six sigma excursion; sipm_roundtrip_ok
+    counts the round trips without emulating the pulses that cannot have one.
     """
     u = np.clip(np.asarray(noise_u, dtype=np.float64), 1e-16, 1.0 - 1e-16)
     return np.asarray(counts, dtype=np.float64) * VOLTS_PER_PHOTON + SIPM_NOISE_VOLTS * ndtri(u)
@@ -435,3 +442,27 @@ def invert_sipm(volts) -> np.ndarray:
     """Recover photon numbers from voltages by rounding to the nearest step."""
     counts = np.rint(np.asarray(volts, dtype=np.float64) / VOLTS_PER_PHOTON)
     return np.maximum(counts, 0.0).astype(np.int64)
+
+
+def sipm_roundtrip_ok(counts, noise_u) -> int:
+    """Number of pulses whose emulate_sipm voltage invert_sipm reads back as
+    the count: np.count_nonzero(invert_sipm(emulate_sipm(counts, noise_u))
+    == counts), for an integer counts array.
+
+    A pulse whose uniform lies in [SIPM_SAFE_U, 1 - SIPM_SAFE_U] has
+    |ndtri(u)| <= 5.6121, so its voltage is within 5.6121 x SIPM_NOISE_VOLTS
+    of count x VOLTS_PER_PHOTON: 0.468 of a step, which leaves a 0.032 step
+    margin before rounding can move it.  Below SIPM_COUNT_BOUND the three
+    roundings of the voltage and its quotient add under 1e-9 step, so such a
+    pulse with a count in [0, SIPM_COUNT_BOUND) always reads back.  A count
+    of 1 or more first misrounds at u = 9.87e-10 (z = -6); a count of 0
+    never does on the low side, as invert_sipm clamps at 0.  Every other
+    pulse takes the exact path on its subset alone, which gets the bits the
+    whole batch would, as both functions are elementwise.
+    """
+    counts, u = np.broadcast_arrays(counts, np.asarray(noise_u, dtype=np.float64))
+    tail = ~((u >= SIPM_SAFE_U) & (u <= 1.0 - SIPM_SAFE_U))
+    if counts.size and not (counts.min() >= 0 and counts.max() < SIPM_COUNT_BOUND):
+        tail |= (counts < 0) | (counts >= SIPM_COUNT_BOUND)
+    n = counts[tail]
+    return counts.size - n.size + int(np.count_nonzero(invert_sipm(emulate_sipm(n, u[tail])) == n))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import session
+from . import reconstruct, session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
 from .config import ENV_OUTPUT_DIR, attenuation_from, session_config_from
 from .errors import ConfigError
@@ -28,10 +28,9 @@ from .optics import detected_intensities, intensity_pair, per_field_intensity_pa
 from .photons import (
     contrast_from_tally,
     draw_photon_counts,
-    emulate_sipm,
     g2_from_tally,
-    invert_sipm,
     resolution,
+    sipm_roundtrip_ok,
     tally_pairs,
 )
 from .reconstruct import THETA_MIX, THETA_SPLIT, GridSpec, intensity_ratio, reconstruct_map
@@ -427,10 +426,15 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
         result = reconstruct_map(pairs, grid)
         fields[:, live] = result.a_h, result.a_v, result.phi, result.se
         status[live] = np.where(result.degenerate, "true", "false")
-        p_meas = 2.0 * pairs * (1.0 + grid.xi) / (1.0 + pairs) - 1.0
-        for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
-            residuals[:, s] = np.abs(polarization_contrast(
-                *per_field_intensity_pair(result.a_h, result.a_v, result.phi, theta)) - p_meas[:, s])
+        # Residuals in blocks of cells, as the ratio tables are built, so
+        # the optics temporaries follow the block; every step is elementwise.
+        block = reconstruct.RATIO_TABLE_BLOCK_CELLS
+        for lo in range(0, len(pairs), block):
+            cut = slice(lo, lo + block)
+            p_meas = 2.0 * pairs[cut] * (1.0 + grid.xi) / (1.0 + pairs[cut]) - 1.0
+            for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
+                residuals[cut, s] = np.abs(polarization_contrast(*per_field_intensity_pair(
+                    result.a_h[cut], result.a_v[cut], result.phi[cut], theta)) - p_meas[:, s])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "reconstruction.csv"
@@ -515,12 +519,8 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
                 start = idx * pulses + a
                 batch = draw_photon_counts(i_h, i_v, attenuation, seed, count=m, start=start)
                 noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses + a, m)
-                volts_h = emulate_sipm(batch.n_h, noise_u=noise[1])
-                volts_v = emulate_sipm(batch.n_v, noise_u=noise[2])
-                roundtrip_ok[idx] += int(
-                    np.count_nonzero(invert_sipm(volts_h) == batch.n_h)
-                    + np.count_nonzero(invert_sipm(volts_v) == batch.n_v)
-                )
+                roundtrip_ok[idx] += (sipm_roundtrip_ok(batch.n_h, noise[1])
+                                      + sipm_roundtrip_ok(batch.n_v, noise[2]))
                 clamped[idx] += int(np.count_nonzero(batch.clamped))
                 tallies[idx].update(tally_pairs(batch.n_h, batch.n_v))
                 yield [np.arange(start, start + m), np.broadcast_to(t, m),

@@ -343,6 +343,18 @@ class TestReconstruct:
         assert (residuals["max_abs_p_residual"] is None) == no_live_cell
         assert (residuals["rms_p_residual"] is None) == no_live_cell
 
+    def test_bytes_do_not_depend_on_the_residual_block(self, run_cli, tmp_path, monkeypatch):
+        # 57 live cells give nine blocks of 7, the last one partial.
+        src = run_cli.cwd / "m" / "ratios.csv"
+        default = self._chain(run_cli, tmp_path)
+        monkeypatch.setattr(reconstruct, "RATIO_TABLE_BLOCK_CELLS", 7)
+        with mock.patch.object(pipeline, "per_field_intensity_pair",
+                               wraps=optics.per_field_intensity_pair) as spy:
+            assert run_cli("reconstruct", "--input", str(src), "--out", "r7") == 0
+        assert spy.call_count == 2 * 9
+        for name in ("reconstruction.csv", "residuals.json"):
+            assert (run_cli.cwd / "r7" / name).read_bytes() == (default / name).read_bytes()
+
     def test_the_optics_calls_do_not_grow_with_the_cell_count(self, tmp_path):
         # Every optics function that pipeline or reconstruct looks up is
         # counted, so a per-cell loop over any of them calls it more often

@@ -27,6 +27,8 @@ from fwmqkd._kernels import (
 )
 from fwmqkd.errors import DegenerateInputError, ParameterError
 from fwmqkd.photons import (
+    SIPM_COUNT_BOUND,
+    SIPM_SAFE_U,
     AttenuationConfig,
     ContrastStats,
     Resolution,
@@ -43,6 +45,7 @@ from fwmqkd.photons import (
     gain_from_uniform,
     invert_sipm,
     resolution,
+    sipm_roundtrip_ok,
     tally_pairs,
 )
 from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
@@ -361,10 +364,44 @@ class TestSiPM:
 
     def test_extreme_uniforms_stay_finite(self):
         # u = 0 and u = 1 clip to an 8.2 sigma excursion: finite, and at
-        # 0.41 V it can shift the rounding by at most one step
-        volts = emulate_sipm(np.array([2, 2]), noise_u=np.array([0.0, 1.0]))
+        # 0.41 V it shifts the rounding by one step
+        counts, u = np.array([2, 2]), np.array([0.0, 1.0])
+        volts = emulate_sipm(counts, noise_u=u)
         assert np.all(np.isfinite(volts))
-        assert np.abs(invert_sipm(volts) - 2).max() <= 1
+        np.testing.assert_array_equal(invert_sipm(volts), [1, 3])
+        assert sipm_roundtrip_ok(counts, u) == 0
+
+    # Each edge of the decided band, one ulp either side, the clip limits and
+    # the first misround (z = -6).
+    EDGE_U = [0.0, 1.0 - 2**-53, 9.865520423775206e-10, 1.0 - 9.865520423775206e-10,
+              *(np.nextafter(edge, to) for edge in (SIPM_SAFE_U, 1.0 - SIPM_SAFE_U)
+                for to in (-np.inf, edge, np.inf))]
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(0, 5), st.integers(-2, -1),
+                  st.integers(SIPM_COUNT_BOUND - 2, SIPM_COUNT_BOUND + 2)),
+        st.one_of(st.sampled_from(EDGE_U), st.floats(0.0, 1.0, exclude_max=True),
+                  st.floats(0.0, 2e-8), st.floats(1.0 - 2e-8, 1.0, exclude_max=True))),
+        max_size=40))
+    def test_decided_roundtrip_equals_the_exact_count(self, pulses):
+        counts = np.array([n for n, _ in pulses], dtype=np.int64)
+        u = np.array([u for _, u in pulses], dtype=np.float64)
+        exact = np.count_nonzero(invert_sipm(emulate_sipm(counts, u)) == counts)
+        assert sipm_roundtrip_ok(counts, u) == exact
+
+    def test_only_the_tail_pulses_are_emulated(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(photons, "emulate_sipm",
+                            lambda counts, noise_u: seen.append(counts.size) or emulate_sipm(counts, noise_u))
+        counts = np.array([0, 1, 5, SIPM_COUNT_BOUND, -1, 3])
+        u = np.array([0.5, SIPM_SAFE_U, 0.0, 0.5, 0.5, 1.0 - SIPM_SAFE_U])
+        assert sipm_roundtrip_ok(counts, u) == 4
+        assert seen == [3]
+
+    def test_an_empty_block_counts_nothing_and_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sipm_roundtrip_ok(np.array([], dtype=np.int64), np.array([])) == 0
 
 
 def test_resolution_type_is_frozen():
