@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateFieldError, DegenerateInputError, ParameterError
+
+# Bob's two wave plate settings: the plate at 0 splits the raw amplitudes,
+# the plate at 45 degrees mixes them.  SETTINGS holds them in table order
+# (basis 0, then basis 1) and SETTINGS_DEG as the output files label them.
+THETA_SPLIT = 0.0
+THETA_MIX = math.pi / 4.0
+SETTINGS = (THETA_SPLIT, THETA_MIX)
+SETTINGS_DEG = (0, 45)
 
 
 @dataclass(frozen=True)
@@ -64,19 +71,9 @@ def qwp_matrix(theta: float) -> np.ndarray:
     """Quarter-wave plate with fast axis at theta, rotated into the lab frame.
 
     Q(theta) = R(-theta) @ diag(1, i) @ R(theta).  Unitary for any theta.
-    The matrix is cached per angle and read-only.
     """
-    theta = float(theta)
-    # 0.0 and -0.0 compare equal but their matrices differ in the sign of zero.
-    return _qwp_matrix(theta, math.copysign(1.0, theta))
-
-
-@lru_cache(maxsize=32)
-def _qwp_matrix(theta: float, sign: float) -> np.ndarray:
     retarder = np.diag([1.0 + 0.0j, 1.0j])
-    q = rotation_matrix(-theta) @ retarder @ rotation_matrix(theta)
-    q.flags.writeable = False
-    return q
+    return rotation_matrix(-theta) @ retarder @ rotation_matrix(theta)
 
 
 def intensity_pair(a_h, a_v, phi, theta_qwp: float):
@@ -123,6 +120,12 @@ def detected_intensities(field: SignalField, theta_qwp: float) -> tuple[float, f
     """intensity_pair of one field as 1-element arrays, equal to the array call bit for bit."""
     i_h, i_v = intensity_pair([field.a_h], [field.a_v], [field.phi], theta_qwp)
     return float(i_h[0]), float(i_v[0])
+
+
+def setting_intensities(field: SignalField) -> np.ndarray:
+    """detected_intensities of a field at each of SETTINGS, as a (setting,
+    port) table of shape (2, 2)."""
+    return np.array([detected_intensities(field, theta) for theta in SETTINGS])
 
 
 def polarization_contrast(i_h, i_v):

@@ -24,7 +24,8 @@ from . import reconstruct, session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
 from .config import ENV_OUTPUT_DIR, attenuation_from, session_config_from
 from .errors import ConfigError
-from .optics import detected_intensities, intensity_pair, per_field_intensity_pair, polarization_contrast
+from .optics import (SETTINGS, SETTINGS_DEG, intensity_pair, per_field_intensity_pair,
+                     polarization_contrast, setting_intensities)
 from .photons import (
     contrast_from_tally,
     draw_photon_counts,
@@ -33,7 +34,7 @@ from .photons import (
     sipm_roundtrip_ok,
     tally_pairs,
 )
-from .reconstruct import THETA_MIX, THETA_SPLIT, GridSpec, intensity_ratio, reconstruct_map
+from .reconstruct import GridSpec, intensity_ratio, reconstruct_map
 from .session import run_session
 from .spectral import Condition, ModelParams, field_arrays, field_components, signal_spectrum
 
@@ -328,7 +329,7 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     gammas = []
     for t in t_list:
         a_h, a_v, phi = field_arrays(t, lams, params)
-        for theta in (THETA_SPLIT, THETA_MIX):
+        for theta in SETTINGS:
             i_h, i_v = intensity_pair(a_h, a_v, phi, theta)
             contrasts.append(polarization_contrast(i_h, i_v))
             gammas.append(intensity_ratio(i_h, i_v, xi))
@@ -340,7 +341,7 @@ def run_contrast_map(config: dict, out_dir: Path) -> list[Path]:
     write_csv(map_path, ["T_fs", "lambda_nm", "theta_deg", "P"], [[
         np.repeat(t_list, 2 * n),
         np.tile(lams, 2 * n_t),
-        np.tile(np.repeat([0, 45], n), n_t),
+        np.tile(np.repeat(SETTINGS_DEG, n), n_t),
         np.concatenate(contrasts),
     ]])
     ratio_path = out_dir / "ratios.csv"
@@ -432,7 +433,7 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
         for lo in range(0, len(pairs), block):
             cut = slice(lo, lo + block)
             p_meas = 2.0 * pairs[cut] * (1.0 + grid.xi) / (1.0 + pairs[cut]) - 1.0
-            for s, theta in enumerate((THETA_SPLIT, THETA_MIX)):
+            for s, theta in enumerate(SETTINGS):
                 residuals[cut, s] = np.abs(polarization_contrast(*per_field_intensity_pair(
                     result.a_h[cut], result.a_v[cut], result.phi[cut], theta)) - p_meas[:, s])
 
@@ -503,16 +504,16 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         raise ConfigError("detector_check.pulses x n_max(n_max-1) must stay below 2^53, "
                           "with n_max = 2 x max_photons")
     t = section["t"]
-    fld = field_components(t, section["lambda_nm"], params)
-    settings = [(0, THETA_SPLIT), (45, THETA_MIX)]
-    ports = [detected_intensities(fld, theta) for _, theta in settings]
-    tallies = [Counter() for _ in settings]
-    clamped = [0 for _ in settings]
-    roundtrip_ok = [0 for _ in settings]
+    ports = setting_intensities(field_components(t, section["lambda_nm"], params)).tolist()
+    # Before any file is written, so a grid.xi it rejects leaves none behind.
+    gammas = [float(intensity_ratio(i_h, i_v, config["grid"]["xi"])) for i_h, i_v in ports]
+    tallies = [Counter() for _ in SETTINGS]
+    clamped = [0 for _ in SETTINGS]
+    roundtrip_ok = [0 for _ in SETTINGS]
 
     def record_blocks():
         block = session.BLOCK_PULSES
-        for idx, (theta_deg, _) in enumerate(settings):
+        for idx, theta_deg in enumerate(SETTINGS_DEG):
             i_h, i_v = ports[idx]
             for a in range(0, pulses, block):
                 m = min(block, pulses - a)
@@ -548,7 +549,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         "config": dict(section),
         "settings": {},
     }
-    for idx, (theta_deg, _) in enumerate(settings):
+    for idx, theta_deg in enumerate(SETTINGS_DEG):
         i_h, i_v = ports[idx]
         setting_stats = stats[idx].to_dict()
         setting_stats["g2_measured"] = g2[idx]
@@ -556,7 +557,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
             "theta_deg": theta_deg,
             "i_h": i_h,
             "i_v": i_v,
-            "gamma": float(intensity_ratio(i_h, i_v)),
+            "gamma": gammas[idx],
             "clamped_pulses": clamped[idx],
             "sipm_roundtrip_ok": roundtrip_ok[idx],
             "sipm_roundtrip_total": 2 * pulses,

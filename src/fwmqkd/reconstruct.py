@@ -23,10 +23,8 @@ import numpy as np
 
 from ._kernels import se_argmin
 from .errors import ParameterError
-from .optics import SignalField, intensity_pair
-
-THETA_SPLIT = 0.0
-THETA_MIX = math.pi / 4.0
+# THETA_SPLIT and THETA_MIX are defined in optics and re-exported from here.
+from .optics import SETTINGS, THETA_MIX, THETA_SPLIT, SignalField, intensity_pair  # noqa: F401
 
 # The phase axis covers the principal branch [-pi/2, pi/2]; PHI_SPAN is its
 # width, which is exactly math.pi in floats.
@@ -84,7 +82,7 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def intensity_ratio(i_h, i_v, xi: float = DEFAULT_GRID.xi):
+def intensity_ratio(i_h, i_v, xi: float):
     """Regularized port ratio I_H / (I_V + xi), elementwise."""
     i_h = np.asarray(i_h, dtype=np.float64)
     i_v = np.asarray(i_v, dtype=np.float64)
@@ -98,7 +96,7 @@ def intensity_ratio(i_h, i_v, xi: float = DEFAULT_GRID.xi):
 def _setting_ratios(a_h, a_v, phi, xi: float):
     """Gamma at the split and mix settings for broadcastable field arrays."""
     return tuple(intensity_ratio(*intensity_pair(a_h, a_v, phi, theta), xi)
-                 for theta in (THETA_SPLIT, THETA_MIX))
+                 for theta in SETTINGS)
 
 
 @lru_cache(maxsize=8)

@@ -26,9 +26,8 @@ import numpy as np
 
 from ._kernels import BACKEND, CHUNK_PULSES, STREAM_SESSION, pulse_randoms
 from .errors import DegenerateInputError, MessageEncodingError, ParameterError
-from .optics import detected_intensities, polarization_contrast
+from .optics import SETTINGS, THETA_SPLIT, polarization_contrast, setting_intensities
 from .photons import AttenuationConfig, counts_from_rates, port_rates
-from .reconstruct import THETA_MIX, THETA_SPLIT
 from .spectral import ModelParams, field_components, wavelength_to_energy
 
 BITS_PER_CHAR = 7
@@ -146,12 +145,9 @@ class ChannelModel:
     def from_config(cls, config: SessionConfig) -> "ChannelModel":
         energy = float(wavelength_to_energy(config.lambda_nm, config.params))
         decode_basis = _basis_index(config.decode_theta)
-        delays = {1: config.delay_bit1, 0: config.delay_bit0}
-        itable = np.empty((2, 2, 2), dtype=np.float64)
-        for bit, delay in delays.items():
-            fld = field_components(delay, config.lambda_nm, config.params)
-            for basis, theta in enumerate((THETA_SPLIT, THETA_MIX)):
-                itable[bit, basis] = detected_intensities(fld, theta)
+        fields = (field_components(delay, config.lambda_nm, config.params)
+                  for delay in (config.delay_bit0, config.delay_bit1))
+        itable = np.array([setting_intensities(fld) for fld in fields])
         cal_p0, cal_p1 = polarization_contrast(*itable[:, decode_basis].T).tolist()
         if cal_p1 == cal_p0:
             raise DegenerateInputError(
@@ -161,7 +157,7 @@ class ChannelModel:
 
 
 def _basis_index(theta: float) -> int:
-    for idx, known in enumerate((THETA_SPLIT, THETA_MIX)):
+    for idx, known in enumerate(SETTINGS):
         if abs(theta - known) < 1e-12:
             return idx
     raise ParameterError("decode_theta must be one of the two sifted settings (0 or pi/4)")
@@ -198,7 +194,7 @@ def _draw_batch(config: SessionConfig, rates, start: int, count: int):
 
 
 def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
-                  threshold_mode: str = "running-mean") -> tuple[np.ndarray, np.ndarray]:
+                  threshold_mode: str = "running-mean") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode rows of slot contrasts into bits (1, 0, or -1 for undecided).
 
     Rows are independent decode attempts, columns are slots, NaN marks a
@@ -208,28 +204,25 @@ def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
     midpoint, since a tight cluster gives no internal evidence of where the
     boundary sits.  A contrast exactly on the threshold stays undecided.
 
-    Returns the bits and, per row, whether the row used the calibrated
-    midpoint (always so in fixed mode).
+    Returns the bits and, per row, the threshold and whether it is the
+    calibrated midpoint (always so in fixed mode).
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ParameterError(f"threshold_mode must be one of {THRESHOLD_MODES}")
     p = np.atleast_2d(np.asarray(p_cum, dtype=np.float64))
-    threshold, midpoint = _row_thresholds(p, channel, threshold_mode)
-    return _compare(p, threshold[:, None], channel.orientation), midpoint
-
-
-def _row_thresholds(p: np.ndarray, channel: ChannelModel, threshold_mode: str):
-    """Each row's decode threshold, and whether it is the calibrated midpoint."""
     if threshold_mode == "fixed":
-        return np.full(p.shape[0], channel.fixed_threshold), np.ones(p.shape[0], dtype=bool)
-    decided = np.isfinite(p)
-    n_dec = decided.sum(axis=1)
-    mean = np.where(decided, p, 0.0).sum(axis=1) / np.maximum(n_dec, 1)
-    p_max = np.where(decided, p, -np.inf).max(axis=1)
-    p_min = np.where(decided, p, np.inf).min(axis=1)
-    spread = np.where(n_dec > 0, p_max - p_min, 0.0)
-    midpoint = spread < 0.5 * abs(channel.gap)
-    return np.where(midpoint, channel.fixed_threshold, mean), midpoint
+        threshold = np.full(p.shape[0], channel.fixed_threshold)
+        midpoint = np.ones(p.shape[0], dtype=bool)
+    else:
+        decided = np.isfinite(p)
+        n_dec = decided.sum(axis=1)
+        mean = np.where(decided, p, 0.0).sum(axis=1) / np.maximum(n_dec, 1)
+        p_max = np.where(decided, p, -np.inf).max(axis=1)
+        p_min = np.where(decided, p, np.inf).min(axis=1)
+        spread = np.where(n_dec > 0, p_max - p_min, 0.0)
+        midpoint = spread < 0.5 * abs(channel.gap)
+        threshold = np.where(midpoint, channel.fixed_threshold, mean)
+    return _compare(p, threshold[:, None], channel.orientation), threshold, midpoint
 
 
 def _compare(p: np.ndarray, threshold, orientation: float) -> np.ndarray:
@@ -514,8 +507,8 @@ def _build_trajectory(ev_ch, ev_cv, ev_all, start, bits, channel, threshold_mode
     Row r of the budget x slot state points each slot at its last event with
     retained total <= r; _window builds it a chunk of rows at a time, each
     chunk reading every slot from the first event the chunk before did not
-    reach.  Rows decode independently, so decoding chunk by chunk gives the
-    same bits as decoding the whole matrix.
+    reach.  Rows decode independently, so decode_matrix on one chunk after
+    another gives the same bits as on the whole matrix.
 
     Only the per-budget curves and thresholds, the snapshot rows and the
     retained H and V totals of the events are kept; Trajectory.change_rows
@@ -543,8 +536,7 @@ def _build_trajectory(ev_ch, ev_cv, ev_all, start, bits, channel, threshold_mode
         hi = min(lo + rows_per_chunk, n_rows)
         idx = _window(ev_ch, ev_cv, cursor, end, lo, hi)
         seen, photons, p = _cells(idx, first, ev_ch, ev_cv)
-        threshold[lo:hi], used_midpoint[lo:hi] = _row_thresholds(p, channel, threshold_mode)
-        decoded = _compare(p, threshold[lo:hi, None], channel.orientation)
+        decoded, threshold[lo:hi], used_midpoint[lo:hi] = decode_matrix(p, channel, threshold_mode)
         all_seen = np.zeros(idx.shape, dtype=ev_all.dtype)
         all_seen[seen] = ev_all[idx[seen]]
 

@@ -221,11 +221,12 @@ def field_arrays(t: float, lambda_nm, params: ModelParams = DEFAULT_PARAMS):
     energies = wavelength_to_energy(lambda_nm, params)
     s_h = signal_spectrum(t, energies, Condition.RRVH, params)
     s_v = signal_spectrum(t, energies, Condition.RRVV, params)
-    scale = np.sqrt(np.abs(s_h) ** 2 + np.abs(s_v) ** 2)
+    mag_h, mag_v = np.abs(s_h), np.abs(s_v)
+    scale = np.sqrt(mag_h ** 2 + mag_v ** 2)
     if np.any(scale == 0.0):
         raise DegenerateFieldError("both amplitudes are zero")
     phi = wrap_phase(np.angle(s_h) - np.angle(s_v))
-    return np.abs(s_h) / scale, np.abs(s_v) / scale, phi
+    return mag_h / scale, mag_v / scale, phi
 
 
 def field_components(t: float, lambda_nm: float, params: ModelParams = DEFAULT_PARAMS) -> SignalField:

@@ -193,7 +193,7 @@ def test_acceptance_4_reconstruction_roundtrip():
             i_h, i_v = detected_intensities(truth, theta)
             i_h *= 1.0 + rng.normal(0.0, 0.01)
             i_v *= 1.0 + rng.normal(0.0, 0.01)
-            gammas.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0)))
+            gammas.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0), DEFAULT_GRID.xi))
         errors.append(abs(reconstruct_field(*gammas).phi - 0.6))
     median_err = float(np.median(errors))
 

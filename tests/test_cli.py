@@ -511,6 +511,27 @@ class TestDetectorCheck:
         assert header == ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"]
         assert len(rows) == 2 * 1500
 
+    def test_gamma_is_the_contrast_map_ratio_at_the_configured_xi(self, run_cli, tmp_path):
+        # Both commands regularize with grid.xi, so at a non-default xi each
+        # setting's gamma is the ratios.csv entry of the checked cell.
+        cfg = _write_config(tmp_path / "c.json",
+                            {"grid": {"xi": 0.5}, "detector_check": {"pulses": 1000}})
+        assert run_cli("detector-check", "--config", cfg, "--out", "d") == 0
+        assert run_cli("contrast-map", "--config", cfg, "--out", "m") == 0
+        settings = read_json(run_cli.cwd / "d" / "detector_check.json")["settings"]
+        _, rows = read_csv(run_cli.cwd / "m" / "ratios.csv")
+        cell = (DEFAULTS["detector_check"]["t"], DEFAULTS["detector_check"]["lambda_nm"])
+        [row] = [r for r in rows if (float(r[0]), float(r[1])) == cell]
+        assert settings["theta_0"]["gamma"] == float(row[2])
+        assert settings["theta_45"]["gamma"] == float(row[3])
+
+    def test_a_zero_regularizer_is_rejected_before_any_write(self, run_cli, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", {"grid": {"xi": 0.0}})
+        assert run_cli("detector-check", "--config", cfg, "--out", "d") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (run_cli.cwd / "d").exists()
+
     def test_resolution_grows_with_pulse_count(self, run_cli, tmp_path):
         values = {}
         for n in (400, 6400):

@@ -7,6 +7,7 @@ list from that file and changes nothing in it.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -54,6 +55,17 @@ def test_a_default_detector_check_still_calls_gain_from_uniform(run_cli):
     assert calls and tracer.self_times()["photons.gain_from_uniform"] > 0.0
     # Each fallback pulse is drawn once per port, and they are a small share.
     assert 0 < draws < 0.01 * 2 * pulses
+
+
+def test_a_default_qkd_run_decodes_every_budget_row_through_decode_matrix(run_cli):
+    # The budget pass decodes its chunks with decode_matrix, so the layer
+    # counts one row per row of the report's trajectory and cannot read 0.
+    with _spans().Tracer() as tracer:
+        assert run_cli("qkd", "--out", "q") == 0
+    report = json.loads((run_cli.cwd / "q" / "qkd_report.json").read_text())
+    calls = [s for s in tracer.spans if s[0] == "session.decode_matrix"]
+    assert calls
+    assert tracer.counts["session.decode_matrix.rows"] == len(report["trajectory"])
 
 
 def test_a_reconstruct_run_searches_every_live_pair_in_one_call(run_cli, tmp_path):

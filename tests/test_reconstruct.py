@@ -26,16 +26,16 @@ from fwmqkd.reconstruct import (
 
 
 def test_intensity_ratio_limits():
-    assert intensity_ratio(0.0, 1.0) == 0.0
-    assert intensity_ratio(1.0, 0.0) == pytest.approx(1e9, rel=1e-12)
-    assert intensity_ratio(0.5, 0.5) == pytest.approx(1.0, rel=3e-9)
+    assert intensity_ratio(0.0, 1.0, DEFAULT_GRID.xi) == 0.0
+    assert intensity_ratio(1.0, 0.0, DEFAULT_GRID.xi) == pytest.approx(1e9, rel=1e-12)
+    assert intensity_ratio(0.5, 0.5, DEFAULT_GRID.xi) == pytest.approx(1.0, rel=3e-9)
 
 
 def test_intensity_ratio_rejects_bad_inputs():
     with pytest.raises(ParameterError):
-        intensity_ratio(-0.1, 0.5)
+        intensity_ratio(-0.1, 0.5, DEFAULT_GRID.xi)
     with pytest.raises(ParameterError):
-        intensity_ratio(0.5, -0.1)
+        intensity_ratio(0.5, -0.1, DEFAULT_GRID.xi)
     with pytest.raises(ParameterError):
         intensity_ratio(0.5, 0.5, xi=0.0)
 
@@ -163,7 +163,7 @@ def test_reconstruction_tolerates_one_percent_noise():
             i_h, i_v = detected_intensities(truth, theta)
             i_h *= 1.0 + rng.normal(0.0, 0.01)
             i_v *= 1.0 + rng.normal(0.0, 0.01)
-            pairs.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0)))
+            pairs.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0), DEFAULT_GRID.xi))
         result = reconstruct_field(*pairs)
         errors.append(abs(result.phi - 0.6))
     assert np.median(errors) <= 0.05

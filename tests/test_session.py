@@ -212,10 +212,10 @@ class TestDecoding:
             [ch.cal_p1, ch.cal_p1 + 1e-3, np.nan, 0.81],  # tight cluster
             [np.nan] * 4,                                 # nothing decided yet
         ])
-        bits, used = decode_matrix(rows, ch)
+        bits, _, used = decode_matrix(rows, ch)
         np.testing.assert_array_equal(used, [False, True, True])
         np.testing.assert_array_equal(bits[1], [1, 1, -1, 1])
-        _, used = decode_matrix(rows, ch, "fixed")
+        _, _, used = decode_matrix(rows, ch, "fixed")
         np.testing.assert_array_equal(used, [True, True, True])
 
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
@@ -228,9 +228,8 @@ class TestDecoding:
         p = rng.uniform(-1.0, 1.0, size=(40, 9))
         p[rng.uniform(size=p.shape) < 0.3] = np.nan
         p[5] = ch.fixed_threshold
-        bits, midpoint = decode_matrix(p, ch, mode)
-        threshold, used = session._row_thresholds(p, ch, mode)
-        np.testing.assert_array_equal(used, midpoint)
+        bits, threshold, midpoint = decode_matrix(p, ch, mode)
+        np.testing.assert_array_equal(threshold == ch.fixed_threshold, midpoint)
         np.testing.assert_array_equal(session._compare(p.T, threshold, ch.orientation), bits.T)
 
     def test_unknown_mode_is_rejected(self):
@@ -404,8 +403,7 @@ def _reference_trajectory(slots, n_h, n_v, mask, n_slots, bits, channel, thresho
     t_mat = h_mat + v_mat
     with np.errstate(invalid="ignore"):
         p_mat = np.where(t_mat > 0, (h_mat - v_mat) / np.maximum(t_mat, 1), np.nan)
-    decoded, used_midpoint = session.decode_matrix(p_mat, channel, threshold_mode)
-    threshold, _ = session._row_thresholds(p_mat, channel, threshold_mode)
+    decoded, threshold, used_midpoint = session.decode_matrix(p_mat, channel, threshold_mode)
     correct = decoded == bits[None, :]
     return (budgets, t_mat.mean(axis=1), a_mat.mean(axis=1), correct.mean(axis=1),
             (decoded < 0).sum(axis=1), used_midpoint, threshold,
