@@ -96,13 +96,13 @@ def load_config(path: str | os.PathLike | None) -> dict:
     """Read a JSON config and merge it over the defaults.
 
     Raises OSError when the file cannot be read, SchemaError when it is not
-    valid JSON or a value has the wrong shape, and ConfigError for unknown
-    keys.
+    UTF-8, not valid JSON or a value has the wrong shape, and ConfigError
+    for unknown keys.
     """
     merged = copy.deepcopy(DEFAULTS)
     if path is None:
         return merged
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, "config")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,6 +111,16 @@ def load_config(path: str | os.PathLike | None) -> dict:
         raise SchemaError("config root must be a JSON object")
     _merge(merged, data, "")
     return merged
+
+
+def read_utf8(path: str | os.PathLike, what: str) -> str:
+    """The text of a UTF-8 file; a SchemaError names the file (what says
+    which input it is) when its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what} {path} is not UTF-8 text: byte "
+                          f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
 
 
 def _merge(base: dict, override: dict, prefix: str) -> None:

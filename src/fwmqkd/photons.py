@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from ._kernels import STREAM_DETECTOR, poisson_bracket, poisson_counts, pulse_randoms
+from ._kernels import poisson_bracket, poisson_counts, pulse_randoms
 from .errors import DegenerateInputError, ParameterError
 
 VOLTS_PER_PHOTON = 0.6
@@ -86,36 +86,35 @@ def gain_from_uniform(u, g2: float):
     return gammaincinv(1.0 / var, u) * var
 
 
-@dataclass(frozen=True)
-class DetectionBatch:
-    """Port counts of a contiguous run of pulses, and where either clamped."""
-
-    n_h: np.ndarray
-    n_v: np.ndarray
-    clamped: np.ndarray
-
-
-def draw_photon_counts(i_h, i_v, config: AttenuationConfig, seed: int, count: int,
-                       start: int = 0) -> DetectionBatch:
+def draw_photon_counts(i_h, i_v, config: AttenuationConfig, seed: int, stream: int,
+                       start: int, count: int):
     """Draw both ports' photon counts for pulses start .. start + count - 1.
 
-    i_h and i_v are scalar port intensities that every pulse shares.  The
-    uniforms come from STREAM_DETECTOR, so a batch is the matching slice of
-    any larger batch with the same seed.
+    Each pulse's uniforms, Alice's bit and Bob's basis come from
+    pulse_randoms on stream, so a batch is the matching slice of any larger
+    batch.  i_h and i_v are the port intensities of the four settings
+    2 * bit + basis, which each pulse's setting indexes, or one scalar pair
+    that every pulse shares (its rate tables indexed by the scalar 0).
+    Returns (n_h, n_v, setting, clamped): the counts, each pulse's uint8
+    setting and where either port clamped.
     """
     if count < 0:
         raise ParameterError("count must be non-negative")
     i_h = np.asarray(i_h, dtype=np.float64)
     i_v = np.asarray(i_v, dtype=np.float64)
-    if i_h.ndim or i_v.ndim:
-        raise ParameterError("intensities must be scalars")
-    if i_h < 0 or i_v < 0:
+    if i_h.shape != i_v.shape or i_h.shape not in ((), (4,)):
+        raise ParameterError("intensities must be scalars or tables of the four settings")
+    if np.any(i_h < 0) or np.any(i_v < 0):
         raise ParameterError("intensities must be non-negative")
-    if i_h + i_v <= 0:
+    if np.any(i_h + i_v <= 0):
         raise DegenerateInputError("zero total intensity cannot split a photon budget")
-    rate_h, rate_v = port_rates(i_h[None], i_v[None], config)
-    u_gain, u_h, u_v, _, _ = pulse_randoms(seed, STREAM_DETECTOR, start, count)
-    return DetectionBatch(*counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, 0, config))
+    rate_h, rate_v = port_rates(np.atleast_1d(i_h), np.atleast_1d(i_v), config)
+    u_gain, u_h, u_v, setting, basis = pulse_randoms(seed, stream, start, count)
+    setting <<= 1
+    setting |= basis
+    n_h, n_v, clamped = counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v,
+                                          setting if i_h.ndim else 0, config)
+    return n_h, n_v, setting, clamped
 
 
 def port_rates(i_h, i_v, config: AttenuationConfig):

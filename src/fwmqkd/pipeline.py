@@ -22,7 +22,7 @@ import numpy as np
 
 from . import reconstruct, session
 from ._kernels import BACKEND, STREAM_DETECTOR, pulse_randoms
-from .config import ENV_OUTPUT_DIR, attenuation_from, session_config_from
+from .config import ENV_OUTPUT_DIR, attenuation_from, read_utf8, session_config_from
 from .errors import ConfigError
 from .optics import (SETTINGS, SETTINGS_DEG, intensity_pair, per_field_intensity_pair,
                      polarization_contrast, setting_intensities)
@@ -359,7 +359,7 @@ def _read_ratio_csv(path: Path) -> np.ndarray:
     line, enforcing the exact four-column schema and finite T_fs and
     lambda_nm.  Blank lines are skipped; messages give a line's number in
     the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, "input")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ConfigError(f"input {path} is empty")
@@ -394,8 +394,9 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
     """Invert a measured ratio table into a field map over its (T, lambda) grid.
 
     The grid is every distinct T by every distinct lambda, each spelled as in
-    its first row (0.0 or -0.0); absent cells and cells with non-finite or
-    negative ratios are written as explicit gaps rather than interpolated.
+    its first row (0.0 or -0.0); absent cells and cells with a ratio that is
+    negative, non-finite or above reconstruct.MAX_RATIO are written as
+    explicit gaps rather than interpolated.
     residuals.json compares the contrast implied by the input ratios against
     the contrast of the reconstructed fields at both wave plate settings.
     """
@@ -417,7 +418,8 @@ def run_reconstruct(config: dict, out_dir: Path, input_path: str | None = None) 
 
     gamma = np.full((n_cells, 2), np.nan)
     gamma[cell] = rows[:, 2:]
-    live = (np.isfinite(gamma) & (gamma >= 0)).all(axis=1)
+    # NaN fails both compares, so a missing or non-finite ratio is a gap too.
+    live = ((gamma >= 0) & (gamma <= reconstruct.MAX_RATIO)).all(axis=1)
     pairs = gamma[live]
     grid = GridSpec(**config["grid"])
     fields = np.full((4, n_cells), np.nan)  # A_H, A_V, phi, SE; NaN in gaps
@@ -518,14 +520,15 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
             for a in range(0, pulses, block):
                 m = min(block, pulses - a)
                 start = idx * pulses + a
-                batch = draw_photon_counts(i_h, i_v, attenuation, seed, count=m, start=start)
+                n_h, n_v, _, clamp = draw_photon_counts(i_h, i_v, attenuation, seed,
+                                                        STREAM_DETECTOR, start, m)
                 noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses + a, m)
-                roundtrip_ok[idx] += (sipm_roundtrip_ok(batch.n_h, noise[1])
-                                      + sipm_roundtrip_ok(batch.n_v, noise[2]))
-                clamped[idx] += int(np.count_nonzero(batch.clamped))
-                tallies[idx].update(tally_pairs(batch.n_h, batch.n_v))
+                roundtrip_ok[idx] += (sipm_roundtrip_ok(n_h, noise[1])
+                                      + sipm_roundtrip_ok(n_v, noise[2]))
+                clamped[idx] += int(np.count_nonzero(clamp))
+                tallies[idx].update(tally_pairs(n_h, n_v))
                 yield [np.arange(start, start + m), np.broadcast_to(t, m),
-                       np.broadcast_to(theta_deg, m), batch.n_h, batch.n_v]
+                       np.broadcast_to(theta_deg, m), n_h, n_v]
 
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,14 @@ PHI_SPAN = math.pi
 # Grid points whose squared error is within TIE_EPS of the minimum tie with it.
 TIE_EPS = 1e-12
 
+# Largest accepted measured ratio.  A table entry is I_H / (I_V + xi) with
+# I_H at most 1 up to rounding, so it is at most about 1 / xi, and on the
+# default grid every entry is below 1.6e6.  With a ratio g <= MAX_RATIO and
+# an entry t below 2**511 (any xi above 2**-511), |t - g| < 2**511, so each
+# squared term is below 2**1022 and their sum below 2**1023: no squared
+# error, bound or contrast of a ratio overflows.
+MAX_RATIO = 2.0**500
+
 # Largest accepted search grid, in (psi, phi) cells: 100x the default's 99,225.
 # Each ratio table at the cap is 80 MB.
 MAX_GRID_CELLS = 10_000_000
@@ -200,11 +208,13 @@ def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> Reconstructio
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ParameterError("expected an (n, 2) array of ratio pairs")
     not_finite = ~np.isfinite(pairs).all(axis=1)
-    bad = not_finite | (pairs < 0).any(axis=1)
+    negative = (pairs < 0).any(axis=1)
+    bad = not_finite | negative | (pairs > MAX_RATIO).any(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
         raise ParameterError("ratios must be finite" if not_finite[first]
-                             else "ratios must be non-negative")
+                             else "ratios must be non-negative" if negative[first]
+                             else "ratios must be at most MAX_RATIO = 2**500")
     psi_axis, phi_axis, tab0, tab45 = _ratio_tables(grid)
     i_psi, i_phi, se, n_ties = se_argmin(tab0, tab45, pairs[:, 0], pairs[:, 1], TIE_EPS)
     sin_psi = np.array([math.sin(psi) for psi in psi_axis.tolist()])

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import BACKEND, CHUNK_PULSES, STREAM_SESSION, pulse_randoms
+# pulse_randoms stays a name of this module: perfbench's tracer tests wrap it here.
+from ._kernels import BACKEND, CHUNK_PULSES, STREAM_SESSION, pulse_randoms  # noqa: F401
 from .errors import DegenerateInputError, MessageEncodingError, ParameterError
 from .optics import SETTINGS, THETA_SPLIT, polarization_contrast, setting_intensities
-from .photons import AttenuationConfig, counts_from_rates, port_rates
+from .photons import AttenuationConfig, draw_photon_counts
 from .spectral import ModelParams, field_components, wavelength_to_energy
 
 BITS_PER_CHAR = 7
@@ -161,36 +162,6 @@ def _basis_index(theta: float) -> int:
         if abs(theta - known) < 1e-12:
             return idx
     raise ParameterError("decode_theta must be one of the two sifted settings (0 or pi/4)")
-
-
-def sift_mask(alice_bits, basis_bits, designated_bits, decode_basis: int) -> np.ndarray:
-    """Pulses kept after basis reconciliation and slot matching."""
-    alice = np.asarray(alice_bits)
-    basis = np.asarray(basis_bits)
-    designated = np.asarray(designated_bits)
-    return (alice == designated) & (basis == decode_basis)
-
-
-def _rate_tables(config: SessionConfig, channel: ChannelModel):
-    """Each port's Poisson rate at each pulse setting 2 * Alice bit + Bob
-    basis: port_rates of the channel's intensity pairs, as two tables of 4."""
-    flat = channel.itable.reshape(4, 2)
-    return port_rates(flat[:, 0], flat[:, 1], config.attenuation)
-
-
-def _draw_batch(config: SessionConfig, rates, start: int, count: int):
-    """Counts and settings for pulses [start, start + count).
-
-    rates are the session's _rate_tables, which each pulse's setting
-    indexes.  The per-pulse uniforms, Alice's bit and Bob's basis (uint8)
-    all come from the same generator block, so the result depends only on
-    the absolute pulse index.
-    """
-    u_gain, u_h, u_v, alice, basis = pulse_randoms(config.seed, STREAM_SESSION, start, count)
-    setting = alice << 1
-    setting |= basis
-    n_h, n_v, clamped = counts_from_rates(u_gain, u_h, u_v, *rates, setting, config.attenuation)
-    return n_h, n_v, alice, basis, clamped
 
 
 def decode_matrix(p_cum: np.ndarray, channel: ChannelModel,
@@ -384,8 +355,9 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     n_slots = bits.size
     cycles = config.cycles
     total_pulses = n_slots * cycles
-    rates = _rate_tables(config, channel)
-    designated = bits.astype(np.uint8)
+    # The I_H and I_V tables of the settings 2 * bit + basis, and each slot's kept setting.
+    ports = channel.itable.reshape(4, 2).T
+    sifted = (2 * bits + channel.decode_basis).astype(np.uint8)
     count_dtype = _count_dtype(config)
 
     # Per slot: retained H and V photons, every photon, and events, so far.
@@ -395,8 +367,8 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     for start in range(0, total_pulses, BLOCK_PULSES):
         count = min(BLOCK_PULSES, total_pulses - start)
         block_kept, block_clamped, block_events = _sift_block(
-            config, rates, designated, channel.decode_basis, start, count,
-            (slot_h, slot_v, slot_all, slot_events), count_dtype)
+            config, ports, sifted, start, count, (slot_h, slot_v, slot_all, slot_events),
+            count_dtype)
         kept += block_kept
         clamped_kept += block_clamped
         for field_parts, part in zip(parts, block_events):
@@ -438,9 +410,10 @@ def run_session(config: SessionConfig, channel: ChannelModel | None = None) -> S
     )
 
 
-def _sift_block(config, rates, designated, decode_basis, start, count, totals, count_dtype):
+def _sift_block(config, ports, sifted, start, count, totals, count_dtype):
     """Draw and sift pulses [start, start + count), which may start and end
-    inside a slot.
+    inside a slot.  A pulse is kept when its setting is sifted[slot], the
+    slot's bit on the decoding basis.
 
     totals are the per-slot retained H, retained V, all-photon and event
     counts so far; the block adds its pulses to them.  Returns the block's
@@ -449,12 +422,12 @@ def _sift_block(config, rates, designated, decode_basis, start, count, totals, c
     so none of them outlives the block.
     """
     cycles = config.cycles
-    n_h, n_v, alice, basis, clamped = _draw_batch(config, rates, start, count)
+    n_h, n_v, setting, clamped = draw_photon_counts(*ports, config.attenuation, config.seed,
+                                                    STREAM_SESSION, start, count)
     first, last = start // cycles, (start + count - 1) // cycles + 1
     # Block slot j holds the block's pulses edges[j] to edges[j + 1] - 1.
     edges = np.clip(np.arange(first, last + 1) * cycles - start, 0, count)
-    mask = sift_mask(alice, basis, np.repeat(designated[first:last], np.diff(edges)),
-                     decode_basis)
+    mask = setting == np.repeat(sifted[first:last], np.diff(edges))
     # Events are the sifted pulses that produced at least one photon; the
     # all-photons count runs over every pulse of the slot, kept or not.
     photons = n_h + n_v

@@ -292,6 +292,24 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "line 6: non-numeric cell" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ratios", ["1e200,0.5", "0.5,1e308"])
+    def test_a_ratio_above_the_bound_is_a_gap_and_warns_about_nothing(self, run_cli, tmp_path,
+                                                                      capsys, ratios):
+        # Its squared errors and its implied contrast used to overflow, so
+        # numpy warned and the cell read SE inf (or the residuals Infinity).
+        src = tmp_path / "ratios.csv"
+        src.write_text(f"T_fs,lambda_nm,gamma_0,gamma_45\n0,500,{ratios}\n0,510,0.5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("reconstruct", "--input", src, "--out", "r") == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(run_cli.cwd / "r" / "reconstruction.csv")
+        assert rows[0] == ["0.0", "500.0", "nan", "nan", "nan", "nan", "gap"]
+        assert rows[1][6] == "false"
+        residuals = read_json(run_cli.cwd / "r" / "residuals.json")
+        assert residuals["cells_gap"] == 1
+        assert math.isfinite(residuals["max_abs_p_residual"])
+
     def test_a_key_is_written_as_its_first_row_spells_it(self, run_cli, tmp_path):
         src = tmp_path / "ratios.csv"
         src.write_text(
@@ -665,6 +683,20 @@ class TestCommonBehavior:
         bad.write_text("{not json")
         assert run_cli("spectra", "--config", str(bad), "--out", "s") == 2
         assert not (run_cli.cwd / "s").exists()
+
+    @pytest.mark.parametrize("command,flag,data", [
+        ("qkd", "--config", b"\xff\xfe{}"),
+        ("reconstruct", "--input", b"T_fs,lambda_nm,gamma_0,gamma_45\n0,500,1,\xff\n"),
+    ], ids=["qkd-config", "reconstruct-input"])
+    def test_an_input_that_is_not_utf8_is_named_in_one_line(self, run_cli, tmp_path, capsys,
+                                                           command, flag, data):
+        src = tmp_path / "input"
+        src.write_bytes(data)
+        assert run_cli(command, flag, src, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(src) in err and "UTF-8" in err
+        assert err.count("\n") == 1
+        assert not (run_cli.cwd / "out").exists()
 
     @pytest.mark.parametrize("command,section", [
         ("spectra", {"spectra": {"t_list": [100.0, 100.0000001]}}),

@@ -68,6 +68,16 @@ def test_a_default_qkd_run_decodes_every_budget_row_through_decode_matrix(run_cl
     assert tracer.counts["session.decode_matrix.rows"] == len(report["trajectory"])
 
 
+def test_a_default_qkd_run_books_its_draws_to_draw_photon_counts(run_cli):
+    # The session draws every block through draw_photon_counts, so that layer
+    # holds the session's draw time, under run_session's span.
+    with _spans().Tracer() as tracer:
+        assert run_cli("qkd", "--out", "q") == 0
+    draws = [s for s in tracer.spans if s[0] == "photons.draw_photon_counts"]
+    assert draws and tracer.self_times()["photons.draw_photon_counts"] > 0.0
+    assert {tracer.spans[s[3]][0] for s in draws} == {"session.run_session"}
+
+
 def test_a_reconstruct_run_searches_every_live_pair_in_one_call(run_cli, tmp_path):
     # The reconstruct_map and se_argmin layers stay measured only while a
     # run hands the search every live pair at once.

@@ -86,67 +86,73 @@ class TestGain:
             gain_from_uniform(np.array([0.5]), 0.5)
 
 
+def _detector_draw(i_h, i_v, cfg, seed, count, start=0):
+    """(n_h, n_v, clamped) of draw_photon_counts on STREAM_DETECTOR."""
+    n_h, n_v, _, clamped = draw_photon_counts(i_h, i_v, cfg, seed, STREAM_DETECTOR, start, count)
+    return n_h, n_v, clamped
+
+
 class TestDrawPhotonCounts:
     def test_dark_port_stays_dark(self):
-        batch = draw_photon_counts(0.0, 1.0, AttenuationConfig(), seed=3, count=5000)
-        assert not batch.n_h.any()
-        assert batch.n_v.any()
+        n_h, n_v, _ = _detector_draw(0.0, 1.0, AttenuationConfig(), seed=3, count=5000)
+        assert not n_h.any()
+        assert n_v.any()
 
     def test_budget_mean_is_respected(self):
         cfg = AttenuationConfig(mean_total_photons=1.0)
-        batch = draw_photon_counts(0.5, 0.5, cfg, seed=10, count=100_000)
-        total = batch.n_h + batch.n_v
+        n_h, n_v, _ = _detector_draw(0.5, 0.5, cfg, seed=10, count=100_000)
+        total = n_h + n_v
         assert total.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_ports_split_in_proportion_to_intensity(self):
         cfg = AttenuationConfig(mean_total_photons=1.0)
-        batch = draw_photon_counts(0.3, 0.1, cfg, seed=21, count=200_000)
-        assert batch.n_h.mean() / batch.n_v.mean() == pytest.approx(3.0, abs=0.2)
+        n_h, n_v, _ = _detector_draw(0.3, 0.1, cfg, seed=21, count=200_000)
+        assert n_h.mean() / n_v.mean() == pytest.approx(3.0, abs=0.2)
 
     def test_counts_respect_the_resolution_limit(self):
         cfg = AttenuationConfig(mean_total_photons=4.0, max_photons=5)
-        batch = draw_photon_counts(0.5, 0.5, cfg, seed=2, count=20_000)
-        assert batch.n_h.max() <= 5
-        assert batch.n_v.max() <= 5
-        assert batch.clamped.any()
+        n_h, n_v, clamped = _detector_draw(0.5, 0.5, cfg, seed=2, count=20_000)
+        assert n_h.max() <= 5
+        assert n_v.max() <= 5
+        assert clamped.any()
 
     def test_clamping_is_rare_at_the_working_point(self):
         cfg = AttenuationConfig(mean_total_photons=1.0, g2_target=1.2)
-        batch = draw_photon_counts(0.5, 0.5, cfg, seed=9, count=100_000)
-        rate = batch.clamped.mean()
+        _, _, clamped = _detector_draw(0.5, 0.5, cfg, seed=9, count=100_000)
+        rate = clamped.mean()
         assert 0.0 < rate < 0.005
 
     def test_batches_are_chunk_invariant(self):
         cfg = AttenuationConfig(g2_target=1.2)
-        whole = draw_photon_counts(0.4, 0.6, cfg, seed=77, count=200)
-        head = draw_photon_counts(0.4, 0.6, cfg, seed=77, count=120)
-        tail = draw_photon_counts(0.4, 0.6, cfg, seed=77, count=80, start=120)
-        np.testing.assert_array_equal(whole.n_h, np.concatenate([head.n_h, tail.n_h]))
-        np.testing.assert_array_equal(whole.n_v, np.concatenate([head.n_v, tail.n_v]))
-        np.testing.assert_array_equal(whole.clamped, np.concatenate([head.clamped, tail.clamped]))
+        whole = _detector_draw(0.4, 0.6, cfg, seed=77, count=200)
+        head = _detector_draw(0.4, 0.6, cfg, seed=77, count=120)
+        tail = _detector_draw(0.4, 0.6, cfg, seed=77, count=80, start=120)
+        np.testing.assert_array_equal(whole[0], np.concatenate([head[0], tail[0]]))
+        np.testing.assert_array_equal(whole[1], np.concatenate([head[1], tail[1]]))
+        np.testing.assert_array_equal(whole[2], np.concatenate([head[2], tail[2]]))
 
     def test_poissonian_ports_are_uncorrelated(self):
-        batch = draw_photon_counts(0.5, 0.5, AttenuationConfig(), seed=6, count=200_000)
-        rho = np.corrcoef(batch.n_h, batch.n_v)[0, 1]
+        n_h, n_v, _ = _detector_draw(0.5, 0.5, AttenuationConfig(), seed=6, count=200_000)
+        rho = np.corrcoef(n_h, n_v)[0, 1]
         assert abs(rho) < 0.01
 
     def test_shared_gain_bunches_the_ports_together(self):
         cfg = AttenuationConfig(g2_target=2.0)
-        batch = draw_photon_counts(0.5, 0.5, cfg, seed=6, count=100_000)
-        rho = np.corrcoef(batch.n_h, batch.n_v)[0, 1]
+        n_h, n_v, _ = _detector_draw(0.5, 0.5, cfg, seed=6, count=100_000)
+        rho = np.corrcoef(n_h, n_v)[0, 1]
         assert rho > 0.2
 
     def test_input_validation(self):
         cfg = AttenuationConfig()
         with pytest.raises(ParameterError):
-            draw_photon_counts(-0.1, 0.5, cfg, seed=1, count=10)
+            _detector_draw(-0.1, 0.5, cfg, seed=1, count=10)
         with pytest.raises(DegenerateInputError):
-            draw_photon_counts(0.0, 0.0, cfg, seed=1, count=10)
+            _detector_draw(0.0, 0.0, cfg, seed=1, count=10)
         with pytest.raises(ParameterError):
-            draw_photon_counts(0.5, 0.5, cfg, seed=1, count=-1)
+            _detector_draw(0.5, 0.5, cfg, seed=1, count=-1)
         for count in (10, 3):
             with pytest.raises(ParameterError, match="scalars"):
-                draw_photon_counts(np.full(3, 0.5), 0.5, cfg, seed=1, count=count)
+                _detector_draw(np.full(3, 0.5), 0.5, cfg, seed=1, count=count)
 
 
 class TestG2:
@@ -164,8 +170,8 @@ class TestG2:
             compute_g2(np.zeros(10, dtype=np.int64))
 
     def test_measured_g2_tracks_the_poisson_target(self):
-        batch = draw_photon_counts(0.5, 0.5, AttenuationConfig(), seed=15, count=200_000)
-        assert compute_g2(batch.n_h + batch.n_v) == pytest.approx(1.0, abs=0.05)
+        n_h, n_v, _ = _detector_draw(0.5, 0.5, AttenuationConfig(), seed=15, count=200_000)
+        assert compute_g2(n_h + n_v) == pytest.approx(1.0, abs=0.05)
 
 
 class TestAccumulateContrast:
@@ -481,11 +487,12 @@ class TestCountsMatchTheOldPerPulsePath:
         cfg = session.SessionConfig(seed=seed, lambda_nm=preset[0], decode_theta=preset[1],
                                     attenuation=attenuation)
         channel = session.ChannelModel.from_config(cfg)
-        got = session._draw_batch(cfg, session._rate_tables(cfg, channel), start, count)
+        got = draw_photon_counts(*channel.itable.reshape(4, 2).T, attenuation, seed,
+                                 STREAM_SESSION, start, count)
         u_gain, u_h, u_v, alice, basis = pulse_randoms(seed, STREAM_SESSION, start, count)
         want = _old_counts(u_gain, u_h, u_v, channel.itable[alice, basis, 0],
                            channel.itable[alice, basis, 1], attenuation)
-        _assert_bitwise_equal(got, (*want[:2], alice, basis, want[2]))
+        _assert_bitwise_equal(got, (*want[:2], (alice << 1) | basis, want[2]))
 
     @settings(max_examples=40, deadline=None)
     @given(max_photons=st.sampled_from(OLD_PATH_MAX_PHOTONS),
@@ -498,10 +505,30 @@ class TestCountsMatchTheOldPerPulsePath:
                                                       seed, count):
         attenuation = AttenuationConfig(mean_total_photons=mean, g2_target=g2,
                                         max_photons=max_photons)
-        batch = draw_photon_counts(i_h, i_v, attenuation, seed, count)
+        got = _detector_draw(i_h, i_v, attenuation, seed, count)
         u_gain, u_h, u_v, _, _ = pulse_randoms(seed, STREAM_DETECTOR, 0, count)
         want = _old_counts(u_gain, u_h, u_v, np.asarray(i_h), np.asarray(i_v), attenuation)
-        _assert_bitwise_equal(astuple(batch), want)
+        _assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("g2", [1.0, 2.5])
+    @settings(max_examples=40, deadline=None)
+    @given(max_photons=st.sampled_from(OLD_PATH_MAX_PHOTONS),
+           mean=st.sampled_from(OLD_PATH_MEANS),
+           i_h=st.floats(0.0, 2.0), i_v=st.floats(1e-6, 2.0),
+           stream=st.sampled_from([STREAM_SESSION, STREAM_DETECTOR]),
+           seed=st.integers(0, 2**64 - 1),
+           start=st.integers(0, 2**40),
+           count=st.integers(0, 2000))
+    def test_four_equal_settings_draw_what_the_scalar_pair_draws(self, g2, max_photons, mean,
+                                                                 i_h, i_v, stream, seed, start,
+                                                                 count):
+        # The scalar pair only saves the per-pulse gather of the rate tables.
+        attenuation = AttenuationConfig(mean_total_photons=mean, g2_target=g2,
+                                        max_photons=max_photons)
+        scalar = draw_photon_counts(i_h, i_v, attenuation, seed, stream, start, count)
+        table = draw_photon_counts(np.full(4, i_h), np.full(4, i_v), attenuation, seed, stream,
+                                   start, count)
+        _assert_bitwise_equal(scalar, table)
 
 
 def _ref_counts_from_rates(u_gain, u_h, u_v, rate_h, rate_v, config):

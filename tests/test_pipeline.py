@@ -1,10 +1,12 @@
 """The column-wise CSV writer against the row-wise writer it replaced."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fwmqkd import pipeline, session
-from fwmqkd.config import load_config
+from fwmqkd import photons, pipeline, session
+from fwmqkd._kernels import STREAM_DETECTOR, STREAM_SESSION
+from fwmqkd.config import DEFAULTS, load_config
 from fwmqkd.pipeline import write_csv
 
 
@@ -260,6 +263,38 @@ def test_detector_check_memory_follows_the_block_not_the_pulse_count(tmp_path):
     # a block of records costs about 107 B per pulse at its peak, so the
     # 28 more blocks of the larger run would add 200 MiB if they were kept
     assert abs(peaks[1] - peaks[0]) < 112 * session.BLOCK_PULSES
+
+
+def _spied_draws(run_cli, *argv):
+    """Run the CLI with draw_photon_counts spied on where session and
+    pipeline call it, and return (stream, start, count) of every draw."""
+    signature = inspect.signature(photons.draw_photon_counts)
+    with mock.patch.object(session, "draw_photon_counts", wraps=photons.draw_photon_counts) as a, \
+            mock.patch.object(pipeline, "draw_photon_counts",
+                              wraps=photons.draw_photon_counts) as b:
+        assert run_cli(*argv) == 0
+    calls = [signature.bind(*c.args, **c.kwargs).arguments for c in a.call_args_list
+             + b.call_args_list]
+    return [(c["stream"], c["start"], c["count"]) for c in calls]
+
+
+def _tiles(draws, total):
+    """Whether the draws' pulse ranges cover 0 .. total - 1 once each."""
+    ranges = sorted((start, start + count) for _, start, count in draws)
+    return [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]] and ranges[-1][1] == total
+
+
+def test_a_default_qkd_run_draws_every_pulse_through_draw_photon_counts(run_cli):
+    draws = _spied_draws(run_cli, "qkd", "--out", "q")
+    report = json.loads((run_cli.cwd / "q" / "qkd_report.json").read_text())
+    assert {stream for stream, _, _ in draws} == {STREAM_SESSION}
+    assert _tiles(draws, report["total_pulses"])
+
+
+def test_a_default_detector_check_draws_every_pulse_through_draw_photon_counts(run_cli):
+    draws = _spied_draws(run_cli, "detector-check", "--out", "d")
+    assert {stream for stream, _, _ in draws} == {STREAM_DETECTOR}
+    assert _tiles(draws, 2 * DEFAULTS["detector_check"]["pulses"])
 
 
 def test_manifest_digests_do_not_depend_on_the_read_size(tmp_path, monkeypatch):

@@ -178,6 +178,16 @@ def test_reconstruct_field_input_validation():
         reconstruct_field(-0.5, 1.0)
 
 
+def test_ratios_up_to_the_bound_search_without_overflow():
+    # A ratio at MAX_RATIO searches without overflow; the next float up is rejected.
+    result = reconstruct_map([[reconstruct.MAX_RATIO, 0.0], [0.0, reconstruct.MAX_RATIO]])
+    assert np.isfinite(result.se).all()
+    with pytest.raises(ParameterError, match="MAX_RATIO"):
+        reconstruct_map([[0.5, 0.5], [np.nextafter(reconstruct.MAX_RATIO, np.inf), 0.5]])
+    with pytest.raises(ParameterError, match="MAX_RATIO"):
+        reconstruct_field(1.0, 1e200)
+
+
 def test_reconstruct_map_input_validation():
     with pytest.raises(ParameterError):
         reconstruct_map(np.zeros((3, 4)))

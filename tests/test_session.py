@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fwmqkd import session
 from fwmqkd.errors import MessageEncodingError, ParameterError
 from fwmqkd._kernels import STREAM_SESSION, pulse_randoms
-from fwmqkd.photons import AttenuationConfig, counts_from_rates, port_rates
+from fwmqkd.photons import AttenuationConfig, counts_from_rates, draw_photon_counts, port_rates
 from fwmqkd.reconstruct import THETA_MIX, THETA_SPLIT
 from fwmqkd.session import (
     BITS_PER_CHAR,
@@ -20,13 +20,10 @@ from fwmqkd.session import (
     ChannelModel,
     SessionConfig,
     _build_trajectory,
-    _draw_batch,
-    _rate_tables,
     decode_matrix,
     decode_to_text,
     encode_message,
     run_session,
-    sift_mask,
 )
 
 
@@ -147,26 +144,39 @@ class TestChannelModel:
             _channel(540.0, 0.3)
 
 
+def _session_draw(cfg, channel, start, count):
+    """run_session's draw of pulses [start, start + count): (n_h, n_v,
+    setting, clamped) at the channel's four setting intensities."""
+    return draw_photon_counts(*channel.itable.reshape(4, 2).T, cfg.attenuation, cfg.seed,
+                              STREAM_SESSION, start, count)
+
+
+def sift_mask(setting, designated, decode_basis):
+    """run_session's sift: a pulse's setting 2 * Alice bit + Bob basis
+    against its slot's bit on the decoding basis."""
+    return setting == 2 * np.asarray(designated) + decode_basis
+
+
 class TestSifting:
     def test_keeps_only_matching_bit_and_basis(self):
         alice = np.array([0, 0, 1, 1, 0, 1])
         basis = np.array([0, 1, 0, 1, 0, 1])
         designated = np.array([0, 0, 1, 0, 1, 1])
-        mask = sift_mask(alice, basis, designated, decode_basis=1)
+        mask = sift_mask(2 * alice + basis, designated, decode_basis=1)
         np.testing.assert_array_equal(mask, [0, 1, 0, 0, 0, 1])
 
     def test_forced_extremes(self):
         n = 1000
         same = np.zeros(n, dtype=np.int64)
-        assert sift_mask(same, same, same, 0).all()
-        assert not sift_mask(same, same, 1 - same, 0).any()
+        assert sift_mask(2 * same + same, same, 0).all()
+        assert not sift_mask(2 * same + same, 1 - same, 0).any()
 
     def test_random_retention_is_one_quarter(self):
         ch = _channel()
         cfg = SessionConfig(cycles=1)
-        _, _, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, ch), 0, 100_000)
+        _, _, setting, _ = _session_draw(cfg, ch, 0, 100_000)
         designated = np.repeat(encode_message(cfg.message), 100_000 // 56 + 1)[:100_000]
-        mask = sift_mask(alice, basis, designated, ch.decode_basis)
+        mask = sift_mask(setting, designated, ch.decode_basis)
         assert abs(mask.mean() - 0.25) <= 0.01
 
 
@@ -557,9 +567,9 @@ class TestTrajectoryReference:
         channel = ChannelModel.from_config(cfg)
         bits = encode_message(cfg.message)
         total = bits.size * cfg.cycles
-        n_h, n_v, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, channel), 0, total)
+        n_h, n_v, setting, _ = _session_draw(cfg, channel, 0, total)
         slots = np.arange(total) // cfg.cycles
-        mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
+        mask = sift_mask(setting, bits[slots], channel.decode_basis)
         *_, photons, contrast, estimate = _reference_trajectory(
             slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode)
         got = _dense_history(run_session(cfg, channel).trajectory, bits.size)
@@ -573,9 +583,9 @@ class TestTrajectoryReference:
         bits = encode_message(cfg.message)
         total = bits.size * cfg.cycles
         assert total > 10 * session.BLOCK_PULSES
-        n_h, n_v, alice, basis, _ = _draw_batch(cfg, _rate_tables(cfg, channel), 0, total)
+        n_h, n_v, setting, _ = _session_draw(cfg, channel, 0, total)
         slots = np.arange(total) // cfg.cycles
-        mask = sift_mask(alice, basis, bits[slots], channel.decode_basis)
+        mask = sift_mask(setting, bits[slots], channel.decode_basis)
         expected, expected_rows = _expected_trajectory(_reference_trajectory(
             slots, n_h, n_v, mask, bits.size, bits, channel, cfg.threshold_mode),
             session._count_dtype(cfg))
