@@ -45,8 +45,8 @@ _MASK32 = 0xFFFFFFFF
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def _philox_rounds(x: np.ndarray, k0: int, k1: int, tmp: np.ndarray) -> None:
-    """Run 10 Philox4x32 rounds in place.
+def _philox_rounds(x: np.ndarray, k0: int, k1: int, tmp: np.ndarray, first: int = 0) -> None:
+    """Run Philox4x32 rounds first to 9 (all 10 by default) in place.
 
     x is a (4, m) uint64 array whose rows are the four 32-bit counter words
     of m blocks; tmp is (2, m) uint64 scratch.  Every word stays below 2**32.
@@ -54,7 +54,7 @@ def _philox_rounds(x: np.ndarray, k0: int, k1: int, tmp: np.ndarray) -> None:
     mask = np.uint64(_MASK32)
     shift = np.uint64(32)
     p0, p1 = tmp
-    for r in range(10):
+    for r in range(first, 10):
         rk0 = np.uint64((k0 + r * _W0) & _MASK32)
         rk1 = np.uint64((k1 + r * _W1) & _MASK32)
         np.multiply(x[0], _M0, out=p0)
@@ -87,36 +87,60 @@ def pulse_randoms(seed: int, stream: int, start: int, count: int):
     pulse index to randoms is fixed regardless of chunking.  Pulse indices
     wrap modulo 2**64.  Each uniform takes 53 bits from two 32-bit words
     (low word first); each bit is the top bit of one word.
+
+    No pass straddles a change of hi32(i), so rounds 0 to 2 fold onto the
+    words a pass shares; rounds 3 to 9 run as philox4x32's, same words.
     """
     first = int(np.uint64(start))
-    stream = np.uint32(stream)
+    stream = int(np.uint32(stream))
     k0, k1 = seed & _MASK32, (seed >> 32) & _MASK32
     u_gain, u_h, u_v = (np.empty(count) for _ in range(3))
     delay_bit, basis_bit = (np.empty(count, dtype=np.uint8) for _ in range(2))
     chunk = max(1, min(CHUNK_PULSES, count))
     offsets = np.arange(chunk, dtype=np.uint64)
-    # Columns [0, m) of buf hold block 0 of each pulse, columns [m, 2m)
-    # block 1.  buf and tmp share one allocation (1.5 MiB at CHUNK_PULSES).
-    # Freeing it sets glibc's dynamic mmap threshold to its size and the
-    # heap trim threshold to twice that (mallopt(3)), above what a block of
-    # pulses frees.  Two buffers left the trim threshold near 2 MiB, and
-    # most processes gave the heap top back and faulted it in again after
-    # every block.
+    # Rounds 0 to 2 fold onto a pass's shared words in tmp; from round 3,
+    # columns [0, m) of buf hold block 0 of each pulse, [m, 2m) block 1.
+    # buf and tmp share one allocation (1.5 MiB at CHUNK_PULSES).  Freeing it
+    # sets glibc's dynamic mmap threshold to its size and the heap trim
+    # threshold to twice that (mallopt(3)), above what a block of pulses
+    # frees.  Two buffers left the trim threshold near 2 MiB, and most
+    # processes gave the heap top back and faulted it in again after every block.
     work = np.empty((6, 2 * chunk), dtype=np.uint64)
     buf, tmp = work[:4], work[4:]
     mask, shift32, shift11, shift31 = (np.uint64(v) for v in (_MASK32, 32, 11, 31))
-    for a in range(0, count, chunk):
-        m = min(chunk, count - a)
-        x, t = buf[:, : 2 * m], tmp[:, : 2 * m]
-        idx = x[0, :m]
-        np.add(offsets[:m], np.uint64((first + a) & 0xFFFFFFFFFFFFFFFF), out=idx)
-        np.right_shift(idx, shift32, out=x[1, :m])
-        idx &= mask
-        x[:2, m:] = x[:2, :m]
-        x[2] = stream
-        x[3, :m] = 0
-        x[3, m:] = 1
-        _philox_rounds(x, k0, k1, t)
+    s_hi, s_lo = divmod(stream * int(_M1), 1 << 32)
+    (rk0, rk1), (rk2, rk3) = (((k0 + r * _W0) & _MASK32, (k1 + r * _W1) & _MASK32) for r in (1, 2))
+    a = 0
+    while a < count:
+        hi, lo = divmod((first + a) & 0xFFFFFFFFFFFFFFFF, 1 << 32)
+        m = min(chunk, count - a, (1 << 32) - lo)
+        x, shared, c2 = buf[:, : 2 * m], tmp[0, :m], tmp[1, : 2 * m]
+        p_hi, p_lo = divmod((s_hi ^ hi ^ k0) * int(_M0), 1 << 32)
+        # Round 0 <- (s_hi ^ hi ^ k0, s_lo, hi(lo32(i) * M0) ^ k1 ^ b, lo(lo32(i) * M0))
+        np.add(offsets[:m], np.uint64(lo), out=shared)
+        shared *= _M0
+        np.right_shift(shared, shift32, out=c2[:m])
+        c2[:m] ^= np.uint64(k1)
+        np.bitwise_xor(c2[:m], np.uint64(1), out=c2[m:])
+        # Round 1 <- (hi(c2 * M1) ^ s_lo ^ rk0, lo(c2 * M1), p_hi ^ c3 ^ rk1, p_lo)
+        shared &= mask
+        shared ^= np.uint64(p_hi ^ rk1)
+        c2 *= _M1
+        np.right_shift(c2, shift32, out=x[0])
+        x[0] ^= np.uint64(s_lo ^ rk0)
+        np.bitwise_and(c2, mask, out=x[1])
+        # Round 2 <- (hi(c2 * M1) ^ c1 ^ rk2, lo(c2 * M1), hi(c0 * M0) ^ p_lo ^ rk3, lo(c0 * M0))
+        np.multiply(shared, _M1, out=c2[:m])
+        np.right_shift(c2[:m], shift32, out=shared)
+        shared ^= np.uint64(rk2)
+        x[0] *= _M0
+        np.right_shift(x[0], shift32, out=x[2])
+        x[2] ^= np.uint64(p_lo ^ rk3)
+        np.bitwise_and(x[0], mask, out=x[3])
+        np.bitwise_xor(x[1].reshape(2, m), shared, out=x[0].reshape(2, m))
+        np.bitwise_and(c2[:m], mask, out=x[1, :m])
+        x[1, m:] = x[1, :m]
+        _philox_rounds(x, k0, k1, tmp[:, : 2 * m], 3)
         # word = lo | hi << 32, uniform = (word >> 11) * 2**-53
         for lo, hi in ((x[0], x[1]), (x[2, :m], x[3, :m])):
             hi <<= shift32
@@ -128,6 +152,7 @@ def pulse_randoms(seed: int, stream: int, start: int, count: int):
         np.multiply(x[1, m:], _INV53, out=u_v[b])
         np.right_shift(x[2, m:], shift31, out=delay_bit[b])
         np.right_shift(x[3, m:], shift31, out=basis_bit[b])
+        a += m
     return u_gain, u_h, u_v, delay_bit, basis_bit
 
 

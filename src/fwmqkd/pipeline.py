@@ -53,6 +53,9 @@ RATIO_COLUMNS = ["T_fs", "lambda_nm", "gamma_0", "gamma_45"]
 # wrote records.csv slower, and 2^12 paid more per-chunk overhead.
 CSV_CHUNK_ROWS = 1 << 14
 
+# Largest spectra or contrast-map grid: 10x a large (100k-wavelength) map.
+MAX_GRID_POINTS = 1_000_000
+
 
 def resolve_output_dir(cli_out: str | None, config: dict, command: str) -> Path:
     """Pick the output directory: --out, FWMQKD_OUTPUT_DIR, config, then cwd."""
@@ -258,6 +261,8 @@ def _grid(config: dict, key: str, lo_key: str, hi_key: str) -> np.ndarray:
     lo, hi = section[lo_key], section[hi_key]
     if section["points"] < 2:
         raise ConfigError(f"{key}.points must be at least 2")
+    if section["points"] > MAX_GRID_POINTS:
+        raise ConfigError(f"{key}.points must be at most {MAX_GRID_POINTS:,}, got {section['points']:,}")
     if not lo < hi:
         raise ConfigError(f"{key}.{lo_key} must be below {hi_key}")
     if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):

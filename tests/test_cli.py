@@ -758,6 +758,24 @@ class TestCommonBehavior:
         assert capsys.readouterr().err == f"error: {key}.points must be at least 2\n"
         assert not (run_cli.cwd / "out").exists()
 
+    @pytest.mark.parametrize("points", [pipeline.MAX_GRID_POINTS + 1, 10**12])
+    @pytest.mark.parametrize("command,key", [
+        ("spectra", "spectra"),
+        ("contrast-map", "contrast_map"),
+    ])
+    def test_a_grid_above_the_cap_is_rejected_by_its_full_key(self, run_cli, tmp_path, capsys,
+                                                              command, key, points):
+        # 10**12 points asked numpy for 7.28 TiB and ended in a MemoryError.
+        cfg = _write_config(tmp_path / "c.json", {key: {"points": points}})
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        assert capsys.readouterr().err == (f"error: {key}.points must be at most "
+                                           f"{pipeline.MAX_GRID_POINTS:,}, got {points:,}\n")
+        assert not (run_cli.cwd / "out").exists()
+
+    def test_a_grid_at_the_cap_is_built(self):
+        section = {"lo": 0.0, "hi": 1.0, "points": pipeline.MAX_GRID_POINTS}
+        assert pipeline._grid({"s": section}, "s", "lo", "hi").size == pipeline.MAX_GRID_POINTS
+
     # Inputs the library rejects with MessageEncodingError or
     # DegenerateInputError, which are not ConfigError subclasses.
     @pytest.mark.parametrize("command,section", [

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwmqkd import _kernels
@@ -410,13 +410,23 @@ _starts = st.one_of(
 SMALL_CHUNK = 4
 
 
-@given(seed=st.integers(0, 2**64 - 1), stream=st.sampled_from([0, 1, 2]), start=_starts,
+# pulse_randoms folds round 0 onto the stream word as a scalar, so every
+# stream word, the top bit set or all bits set among them, is checked.
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, _MASK32), start=_starts,
        count=st.sampled_from([0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
                               3 * SMALL_CHUNK + 2]))
+@example(seed=20260814, stream=2**31, start=2**32 - 3, count=3 * SMALL_CHUNK + 2)
+@example(seed=2**64 - 1, stream=_MASK32, start=2**64 - 3, count=3 * SMALL_CHUNK + 2)
 def test_pulse_randoms_match_reference_with_a_small_chunk(seed, stream, start, count):
     with mock.patch.object(_kernels, "CHUNK_PULSES", SMALL_CHUNK):
         got = _kernels.pulse_randoms(seed, stream, start, count)
     _assert_same_arrays(got, _ref_pulse_randoms(seed, stream, start, count))
+
+
+@pytest.mark.parametrize("stream", [-1, 2**32])
+def test_pulse_randoms_reject_a_stream_outside_uint32(stream):
+    with pytest.raises(OverflowError):
+        _kernels.pulse_randoms(1, stream, 0, 4)
 
 
 CHUNK = _kernels.CHUNK_PULSES

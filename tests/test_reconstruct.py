@@ -153,6 +153,22 @@ def test_a_pair_midway_between_two_grid_points_ties_within_tie_eps():
     assert result.index in ((161, 170), (161, 171))
 
 
+def test_a_grid_point_ties_up_to_tie_eps_and_no_further(monkeypatch):
+    """On a one-row table, each pair's minimum SE is 0 and its runner-up's
+    SE is a square computed exactly: 1e-6 ** 2 rounds to TIE_EPS itself,
+    and 2 ** -19 squared is 2 ** -38, about 3.6e-12."""
+    assert 1e-6 * 1e-6 == reconstruct.TIE_EPS < 2.0**-38 < 1e-11
+    tab0 = np.zeros((1, 4))
+    tab45 = np.array([[0.0, 1e-6, 0.5, 0.5 + 2.0**-19]])
+    axes = np.array([0.25]), np.array([-0.5, -0.25, 0.0, 0.25])
+    monkeypatch.setattr(reconstruct, "_ratio_tables", lambda grid: (*axes, tab0, tab45))
+    result = reconstruct_map([(0.0, 0.0), (0.0, 0.5)])
+    assert result.se.tolist() == [0.0, 0.0]
+    assert result.i_phi.tolist() == [0, 2]
+    assert result.n_ties.tolist() == [2, 1]
+    assert result.degenerate.tolist() == [True, False]
+
+
 def test_reconstruction_tolerates_one_percent_noise():
     rng = np.random.default_rng(99)
     truth = SignalField(math.sin(0.7), math.cos(0.7), 0.6)

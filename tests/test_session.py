@@ -228,6 +228,18 @@ class TestDecoding:
         _, _, used = decode_matrix(rows, ch, "fixed")
         np.testing.assert_array_equal(used, [True, True, True])
 
+    def test_a_spread_of_exactly_half_the_gap_decodes_against_the_running_mean(self):
+        # gap 1, midpoint 0.25: every difference and half below is exact.
+        ch = dataclasses.replace(_channel(540.0, THETA_SPLIT), cal_p1=0.75, cal_p0=-0.25)
+        rows = np.array([
+            [0.5, 1.0],     # spread 0.5, half the gap; mean 0.75
+            [0.5, 0.9375],  # spread 0.4375, below it
+        ])
+        bits, threshold, used = decode_matrix(rows, ch)
+        np.testing.assert_array_equal(used, [False, True])
+        np.testing.assert_array_equal(threshold, [0.75, 0.25])
+        np.testing.assert_array_equal(bits, [[0, 1], [1, 1]])
+
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
     @pytest.mark.parametrize("lam, theta", [(540.0, THETA_SPLIT), (500.0, THETA_MIX)])
     def test_slot_major_compare_against_row_thresholds_gives_the_same_bits(self, mode, lam, theta):
