@@ -15,14 +15,13 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .optics import SignalField, detected_intensities, polarization_contrast, qwp_matrix
+from .optics import SignalField, intensity_pair, polarization_contrast, qwp_matrix
 from .photons import AttenuationConfig, ContrastStats, accumulate_contrast, draw_photon_counts
 from .reconstruct import (
     GridSpec,
     ReconstructionMap,
     ReconstructionResult,
     intensity_ratio,
-    reconstruct_field,
     reconstruct_map,
 )
 from .session import (
@@ -33,7 +32,7 @@ from .session import (
     encode_message,
     run_session,
 )
-from .spectral import Condition, ModelParams, field_components, signal_spectrum
+from .spectral import Condition, ModelParams, field_arrays, signal_spectrum
 
 __version__ = "0.2.0"
 
@@ -57,15 +56,14 @@ __all__ = [
     "SessionReport",
     "SignalField",
     "accumulate_contrast",
-    "detected_intensities",
     "decode_to_text",
     "draw_photon_counts",
     "encode_message",
-    "field_components",
+    "field_arrays",
+    "intensity_pair",
     "intensity_ratio",
     "polarization_contrast",
     "qwp_matrix",
-    "reconstruct_field",
     "reconstruct_map",
     "run_session",
     "signal_spectrum",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFieldError, DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError
 
 # Bob's two wave plate settings: the plate at 0 splits the raw amplitudes,
 # the plate at 45 degrees mixes them.  SETTINGS holds them in table order
@@ -37,27 +37,22 @@ class SignalField:
             raise ParameterError("field amplitudes must be non-negative")
         if not (-math.pi < self.phi <= math.pi):
             raise ParameterError("phi must lie in (-pi, pi]")
-        norm = self.a_h * self.a_h + self.a_v * self.a_v
-        if abs(norm - 1.0) > 1e-9:
-            raise ParameterError(f"field is not normalized: A_H^2+A_V^2 = {norm!r}")
+        check_unit_norm(self.a_h, self.a_v)
 
-    @classmethod
-    def normalized(cls, a_h: float, a_v: float, phi: float) -> "SignalField":
-        """Build a field from unnormalized amplitudes."""
-        scale = math.hypot(a_h, a_v)
-        if scale == 0.0:
-            raise DegenerateFieldError("both amplitudes are zero")
-        phi = wrap_phase(phi)
-        return cls(a_h / scale, a_v / scale, phi)
+
+def check_unit_norm(a_h, a_v) -> None:
+    """Raise ParameterError unless each A_H^2 + A_V^2 is within 1e-9 of 1 (NaN is not)."""
+    norm = np.asarray(a_h * a_h + a_v * a_v)
+    off = ~(np.abs(norm - 1.0) <= 1e-9)
+    if off.any():
+        raise ParameterError(f"field is not normalized: A_H^2+A_V^2 = {float(norm.flat[off.argmax()])!r}")
 
 
 def wrap_phase(phi):
-    """Wrap an angle, or an array of angles, to the interval (-pi, pi]."""
+    """Wrap an array of angles to the interval (-pi, pi]."""
     wrapped = -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
     # The remainder can round up to 2 pi, which lands on -pi.  Select pi there
     # and leave every other element's bits alone, -0.0 included.
-    if np.ndim(wrapped) == 0:
-        return math.pi if wrapped <= -math.pi else wrapped
     return np.where(wrapped <= -math.pi, math.pi, wrapped)
 
 
@@ -116,16 +111,11 @@ def per_field_intensity_pair(a_h, a_v, phi, theta_qwp: float):
     return ports[0], ports[1]
 
 
-def detected_intensities(field: SignalField, theta_qwp: float) -> tuple[float, float]:
-    """intensity_pair of one field as 1-element arrays, equal to the array call bit for bit."""
-    i_h, i_v = intensity_pair([field.a_h], [field.a_v], [field.phi], theta_qwp)
-    return float(i_h[0]), float(i_v[0])
-
-
-def setting_intensities(field: SignalField) -> np.ndarray:
-    """detected_intensities of a field at each of SETTINGS, as a (setting,
-    port) table of shape (2, 2)."""
-    return np.array([detected_intensities(field, theta) for theta in SETTINGS])
+def setting_intensities(a_h, a_v, phi) -> np.ndarray:
+    """intensity_pair of 1-D field arrays at each of SETTINGS, as a (field,
+    setting, port) table of shape (n, 2, 2)."""
+    return np.stack([np.stack(intensity_pair(a_h, a_v, phi, theta), axis=-1)
+                     for theta in SETTINGS], axis=-2)
 
 
 def polarization_contrast(i_h, i_v):

@@ -283,13 +283,6 @@ def gain_cells(g2: float):
     return lo, hi
 
 
-def compute_g2(total_counts) -> float:
-    """Normalized second-order correlation <n(n-1)> / <n>^2 of integer pulse
-    totals: g2_from_tally of one block, with the totals standing in for n_H."""
-    n = np.asarray(total_counts, dtype=np.int64)
-    return g2_from_tally(tally_pairs(n, np.zeros_like(n)))
-
-
 @dataclass(frozen=True)
 class ContrastStats:
     """Contrast estimates over a set of pulse records.

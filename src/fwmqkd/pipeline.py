@@ -36,7 +36,7 @@ from .photons import (
 )
 from .reconstruct import GridSpec, intensity_ratio, reconstruct_map
 from .session import run_session
-from .spectral import Condition, ModelParams, field_arrays, field_components, signal_spectrum
+from .spectral import Condition, ModelParams, field_arrays, signal_spectrum
 
 MANIFEST_NAME = "manifest.json"
 
@@ -511,7 +511,7 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
         raise ConfigError("detector_check.pulses x n_max(n_max-1) must stay below 2^53, "
                           "with n_max = 2 x max_photons")
     t = section["t"]
-    ports = setting_intensities(field_components(t, section["lambda_nm"], params)).tolist()
+    ports = setting_intensities(*field_arrays(t, [section["lambda_nm"]], params))[0].tolist()
     # Before any file is written, so a grid.xi it rejects leaves none behind.
     gammas = [float(intensity_ratio(i_h, i_v, config["grid"]["xi"])) for i_h, i_v in ports]
     tallies = [Counter() for _ in SETTINGS]

@@ -101,12 +101,6 @@ def intensity_ratio(i_h, i_v, xi: float):
     return i_h / (i_v + xi)
 
 
-def _setting_ratios(a_h, a_v, phi, xi: float):
-    """Gamma at the split and mix settings for broadcastable field arrays."""
-    return tuple(intensity_ratio(*intensity_pair(a_h, a_v, phi, theta), xi)
-                 for theta in SETTINGS)
-
-
 @lru_cache(maxsize=8)
 def _ratio_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Precompute Gamma(psi, phi) at both settings, once per grid.
@@ -121,18 +115,11 @@ def _ratio_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     rows = max(1, RATIO_TABLE_BLOCK_CELLS // phi.size)
     for lo in range(0, psi.size, rows):
         block = psi[lo:lo + rows, None]
-        tab0[lo:lo + rows], tab45[lo:lo + rows] = _setting_ratios(
-            np.sin(block), np.cos(block), phi[None, :], grid.xi)
+        a_h, a_v = np.sin(block), np.cos(block)
+        tab0[lo:lo + rows], tab45[lo:lo + rows] = (
+            intensity_ratio(*intensity_pair(a_h, a_v, phi[None, :], theta), grid.xi)
+            for theta in SETTINGS)
     return psi, phi, tab0, tab45
-
-
-def measured_ratios(field: SignalField, grid: GridSpec = DEFAULT_GRID) -> tuple[float, float]:
-    """Ideal ratio pair (Gamma at 0, Gamma at 45 deg) a field would produce.
-
-    Evaluated as 1-element arrays, so a grid field gives its table entries.
-    """
-    g0, g45 = _setting_ratios([field.a_h], [field.a_v], [field.phi], grid.xi)
-    return float(g0[0]), float(g45[0])
 
 
 @dataclass(frozen=True)
@@ -189,11 +176,6 @@ class ReconstructionMap:
         field = SignalField(float(self.a_h[k]), float(self.a_v[k]), float(self.phi[k]))
         return ReconstructionResult(field, float(self.psi[k]), float(self.se[k]), int(self.n_ties[k]),
                                     (int(self.i_psi[k]), int(self.i_phi[k])))
-
-
-def reconstruct_field(gamma_0: float, gamma_45: float, grid: GridSpec = DEFAULT_GRID) -> ReconstructionResult:
-    """Recover the field from one measured ratio pair."""
-    return reconstruct_map([(gamma_0, gamma_45)], grid)[0]
 
 
 def reconstruct_map(ratio_pairs, grid: GridSpec = DEFAULT_GRID) -> ReconstructionMap:

@@ -29,7 +29,7 @@ from ._kernels import BACKEND, CHUNK_PULSES, STREAM_SESSION, pulse_randoms  # no
 from .errors import DegenerateInputError, MessageEncodingError, ParameterError
 from .optics import SETTINGS, THETA_SPLIT, polarization_contrast, setting_intensities
 from .photons import AttenuationConfig, draw_photon_counts
-from .spectral import ModelParams, field_components, wavelength_to_energy
+from .spectral import ModelParams, field_arrays, wavelength_to_energy
 
 BITS_PER_CHAR = 7
 
@@ -146,9 +146,9 @@ class ChannelModel:
     def from_config(cls, config: SessionConfig) -> "ChannelModel":
         energy = float(wavelength_to_energy(config.lambda_nm, config.params))
         decode_basis = _basis_index(config.decode_theta)
-        fields = (field_components(delay, config.lambda_nm, config.params)
-                  for delay in (config.delay_bit0, config.delay_bit1))
-        itable = np.array([setting_intensities(fld) for fld in fields])
+        itable = np.concatenate([
+            setting_intensities(*field_arrays(delay, [config.lambda_nm], config.params))
+            for delay in (config.delay_bit0, config.delay_bit1)])
         cal_p0, cal_p1 = polarization_contrast(*itable[:, decode_basis].T).tolist()
         if cal_p1 == cal_p0:
             raise DegenerateInputError(

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import dawsn
 
 from .errors import DegenerateFieldError, ParameterError
-from .optics import SignalField, wrap_phase
+from .optics import check_unit_norm, wrap_phase
 
 HC_EV_NM = 1239.84198433
 
@@ -217,6 +217,8 @@ def field_arrays(t: float, lambda_nm, params: ModelParams = DEFAULT_PARAMS):
     The linear analyzer conditions give the two Jones components of the
     emitted field: RRVH is the H projection and RRVV the V projection.  Only
     the relative phase matters, so it is referenced to the V component.
+    Amplitudes that rounding leaves more than 1e-9 off A_H^2 + A_V^2 = 1
+    (say, line tails whose squares are subnormal) raise ParameterError.
     """
     energies = wavelength_to_energy(lambda_nm, params)
     s_h = signal_spectrum(t, energies, Condition.RRVH, params)
@@ -225,11 +227,6 @@ def field_arrays(t: float, lambda_nm, params: ModelParams = DEFAULT_PARAMS):
     scale = np.sqrt(mag_h ** 2 + mag_v ** 2)
     if np.any(scale == 0.0):
         raise DegenerateFieldError("both amplitudes are zero")
-    phi = wrap_phase(np.angle(s_h) - np.angle(s_v))
-    return mag_h / scale, mag_v / scale, phi
-
-
-def field_components(t: float, lambda_nm: float, params: ModelParams = DEFAULT_PARAMS) -> SignalField:
-    """field_arrays at one wavelength, evaluated as a 1-element array."""
-    a_h, a_v, phi = field_arrays(t, [lambda_nm], params)
-    return SignalField(float(a_h[0]), float(a_v[0]), float(phi[0]))
+    a_h, a_v = mag_h / scale, mag_v / scale
+    check_unit_norm(a_h, a_v)
+    return a_h, a_v, wrap_phase(np.angle(s_h) - np.angle(s_v))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import settings
 
 from fwmqkd import cli
+from fwmqkd.optics import SETTINGS, intensity_pair
+from fwmqkd.reconstruct import DEFAULT_GRID, intensity_ratio
 
 # Property tests draw a fixed example sequence and keep no example database,
 # so a result never depends on the search or on a local .hypothesis/ store.
@@ -54,3 +56,9 @@ def tree_bytes(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def setting_ratios(a_h, a_v, phi, xi=DEFAULT_GRID.xi):
+    """Ideal ratio arrays (Gamma at 0, Gamma at 45 deg) of a batch of fields,
+    computed as reconstruct's tables compute theirs."""
+    return tuple(intensity_ratio(*intensity_pair(a_h, a_v, phi, theta), xi) for theta in SETTINGS)

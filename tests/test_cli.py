@@ -791,6 +791,18 @@ class TestCommonBehavior:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (run_cli.cwd / "out").exists()
 
+    # At this delta_ev every wavelength lies so far out on the line tails
+    # that the squared amplitudes are subnormal, and the rounded field misses
+    # A_H^2 + A_V^2 = 1; every command that builds a field rejects it.
+    @pytest.mark.parametrize("command", ["contrast-map", "qkd", "detector-check"])
+    def test_an_unnormalized_field_exits_2_with_one_line(self, run_cli, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path / "c.json", {"model": {"delta_ev": 1e-160}})
+        assert run_cli(command, "--config", cfg, "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field is not normalized: A_H^2+A_V^2 = ")
+        assert err.count("\n") == 1
+        assert not (run_cli.cwd / "out").exists()
+
     @pytest.mark.parametrize("command,section", [
         ("spectra", {"output_dir": 3}),
         ("reconstruct", {"reconstruct": {"input": 5}}),

@@ -8,21 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import setting_ratios
 from fwmqkd.errors import ParameterError
-from fwmqkd.optics import SignalField, detected_intensities
 from fwmqkd import reconstruct
+from fwmqkd.optics import SETTINGS, intensity_pair
 from fwmqkd.reconstruct import (
     DEFAULT_GRID,
     MAX_GRID_CELLS,
-    THETA_MIX,
-    THETA_SPLIT,
     GridSpec,
     ReconstructionMap,
     intensity_ratio,
-    measured_ratios,
-    reconstruct_field,
     reconstruct_map,
 )
+
+
+def _search(a_h, a_v, phi):
+    """reconstruct_map's result for the ideal ratio pair of one field."""
+    return reconstruct_map(np.column_stack(setting_ratios([a_h], [a_v], [phi])))[0]
 
 
 def test_intensity_ratio_limits():
@@ -80,8 +82,7 @@ class TestGridSpec:
 @pytest.mark.parametrize("rows", [1, 3, 10**9], ids=["one-row", "three-rows", "all-rows"])
 def test_ratio_tables_built_in_blocks_equal_the_whole_grid(monkeypatch, grid, rows):
     psi, phi = grid.psi_axis(), grid.phi_axis()
-    whole = reconstruct._setting_ratios(np.sin(psi)[:, None], np.cos(psi)[:, None],
-                                        phi[None, :], grid.xi)
+    whole = setting_ratios(np.sin(psi)[:, None], np.cos(psi)[:, None], phi[None, :], grid.xi)
     monkeypatch.setattr(reconstruct, "RATIO_TABLE_BLOCK_CELLS", rows * phi.size)
     got_psi, got_phi, tab0, tab45 = reconstruct._ratio_tables.__wrapped__(grid)
     np.testing.assert_array_equal(got_psi, psi)
@@ -91,24 +92,14 @@ def test_ratio_tables_built_in_blocks_equal_the_whole_grid(monkeypatch, grid, ro
         assert got.tobytes() == want.tobytes()
 
 
-def test_measured_ratios_match_direct_intensities():
-    f = SignalField.normalized(0.7, 0.5, 0.4)
-    g0, g45 = measured_ratios(f)
-    i_h0, i_v0 = detected_intensities(f, THETA_SPLIT)
-    i_h45, i_v45 = detected_intensities(f, THETA_MIX)
-    assert g0 == pytest.approx(i_h0 / (i_v0 + DEFAULT_GRID.xi), rel=1e-15)
-    assert g45 == pytest.approx(i_h45 / (i_v45 + DEFAULT_GRID.xi), rel=1e-15)
-
-
 def test_roundtrip_lands_within_one_grid_step():
     psi_true, phi_true = math.radians(30.0), 0.25
-    truth = SignalField(math.sin(psi_true), math.cos(psi_true), phi_true)
-    result = reconstruct_field(*measured_ratios(truth))
+    result = _search(math.sin(psi_true), math.cos(psi_true), phi_true)
     assert abs(result.psi - psi_true) <= DEFAULT_GRID.psi_step
     assert abs(result.phi - phi_true) <= DEFAULT_GRID.phi_step
     assert not result.degenerate
-    assert result.field.a_h == pytest.approx(truth.a_h, abs=0.005)
-    assert result.field.a_v == pytest.approx(truth.a_v, abs=0.005)
+    assert result.field.a_h == pytest.approx(math.sin(psi_true), abs=0.005)
+    assert result.field.a_v == pytest.approx(math.cos(psi_true), abs=0.005)
 
 
 def test_on_grid_truths_recover_their_exact_node():
@@ -122,10 +113,7 @@ def test_on_grid_truths_recover_their_exact_node():
     psi_axis = DEFAULT_GRID.psi_axis()
     phi_axis = DEFAULT_GRID.phi_axis()
     for i, j in [(20, 5), (100, 160), (157, 300), (250, 40), (294, 220)]:
-        truth = SignalField(
-            math.sin(psi_axis[i]), math.cos(psi_axis[i]), float(phi_axis[j])
-        )
-        result = reconstruct_field(*measured_ratios(truth))
+        result = _search(math.sin(psi_axis[i]), math.cos(psi_axis[i]), float(phi_axis[j]))
         assert result.index == (i, j)
         assert result.se == 0.0
         assert not result.degenerate
@@ -133,8 +121,7 @@ def test_on_grid_truths_recover_their_exact_node():
 
 def test_pure_vertical_field_is_degenerate_in_phase():
     """With no horizontal amplitude the phase row is flat, so every phi ties."""
-    truth = SignalField(0.0, 1.0, 0.7)
-    result = reconstruct_field(*measured_ratios(truth))
+    result = _search(0.0, 1.0, 0.7)
     assert result.psi == 0.0
     assert result.degenerate
     assert result.n_ties == len(DEFAULT_GRID.phi_axis())
@@ -148,7 +135,7 @@ def test_a_pair_midway_between_two_grid_points_ties_within_tie_eps():
     neighbours of a row is equally far from both up to rounding, which
     reconstruct.TIE_EPS absorbs."""
     _, _, tab0, tab45 = reconstruct._ratio_tables(DEFAULT_GRID)
-    result = reconstruct_field(tab0[161, 170], (tab45[161, 170] + tab45[161, 171]) / 2.0)
+    result = reconstruct_map([(tab0[161, 170], (tab45[161, 170] + tab45[161, 171]) / 2.0)])[0]
     assert result.n_ties == 2
     assert result.index in ((161, 170), (161, 171))
 
@@ -171,27 +158,18 @@ def test_a_grid_point_ties_up_to_tie_eps_and_no_further(monkeypatch):
 
 def test_reconstruction_tolerates_one_percent_noise():
     rng = np.random.default_rng(99)
-    truth = SignalField(math.sin(0.7), math.cos(0.7), 0.6)
-    errors = []
+    ports = [[float(port[0]) for port in
+              intensity_pair([math.sin(0.7)], [math.cos(0.7)], [0.6], theta)]
+             for theta in SETTINGS]
+    pairs = []
     for _ in range(250):
-        pairs = []
-        for theta in (THETA_SPLIT, THETA_MIX):
-            i_h, i_v = detected_intensities(truth, theta)
+        pair = []
+        for i_h, i_v in ports:
             i_h *= 1.0 + rng.normal(0.0, 0.01)
             i_v *= 1.0 + rng.normal(0.0, 0.01)
-            pairs.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0), DEFAULT_GRID.xi))
-        result = reconstruct_field(*pairs)
-        errors.append(abs(result.phi - 0.6))
-    assert np.median(errors) <= 0.05
-
-
-def test_reconstruct_field_input_validation():
-    with pytest.raises(ParameterError):
-        reconstruct_field(float("nan"), 1.0)
-    with pytest.raises(ParameterError):
-        reconstruct_field(1.0, float("inf"))
-    with pytest.raises(ParameterError):
-        reconstruct_field(-0.5, 1.0)
+            pair.append(intensity_ratio(max(i_h, 0.0), max(i_v, 0.0), DEFAULT_GRID.xi))
+        pairs.append(pair)
+    assert np.median(abs(reconstruct_map(pairs).phi - 0.6)) <= 0.05
 
 
 def test_ratios_up_to_the_bound_search_without_overflow():
@@ -201,12 +179,15 @@ def test_ratios_up_to_the_bound_search_without_overflow():
     with pytest.raises(ParameterError, match="MAX_RATIO"):
         reconstruct_map([[0.5, 0.5], [np.nextafter(reconstruct.MAX_RATIO, np.inf), 0.5]])
     with pytest.raises(ParameterError, match="MAX_RATIO"):
-        reconstruct_field(1.0, 1e200)
+        reconstruct_map([(1.0, 1e200)])
 
 
 def test_reconstruct_map_input_validation():
     with pytest.raises(ParameterError):
         reconstruct_map(np.zeros((3, 4)))
+    for pair in ((float("nan"), 1.0), (1.0, float("inf")), (-0.5, 1.0)):
+        with pytest.raises(ParameterError):
+            reconstruct_map([pair])
 
 
 def _result_bits(result):
@@ -235,7 +216,7 @@ def test_every_item_of_the_column_result_is_its_own_scalar_search(extra):
     result = reconstruct_map(pairs)
     assert len(result) == len(pairs)
     for k, pair in enumerate(pairs):
-        assert _result_bits(result[k]) == _result_bits(reconstruct_field(*pair))
+        assert _result_bits(result[k]) == _result_bits(reconstruct_map([pair])[0])
     # The amplitude columns hold math.sin and math.cos of psi, not np.sin's.
     psi = result.psi.tolist()
     assert result.a_h.view(np.uint64).tolist() == np.array(
@@ -251,8 +232,8 @@ _COLUMN_DTYPES = {"psi": np.float64, "a_h": np.float64, "a_v": np.float64, "phi"
 
 
 def test_the_column_result_is_a_sequence_of_its_items():
-    truth = SignalField(0.0, 1.0, 0.7)  # degenerate: every phi ties
-    result = reconstruct_map([(1.2, 0.9), measured_ratios(truth), (0.35, 1.7)])
+    g0, g45 = setting_ratios([0.0], [1.0], [0.7])  # degenerate: every phi ties
+    result = reconstruct_map([(1.2, 0.9), (g0[0], g45[0]), (0.35, 1.7)])
     assert isinstance(result, ReconstructionMap)
     assert len(result) == 3
     items = list(result)

@@ -1,9 +1,12 @@
 """Lineshapes, coefficient tables, composed spectra, and the wavelength map."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fwmqkd.errors import ParameterError
@@ -17,7 +20,7 @@ from fwmqkd.spectral import (
     ModelParams,
     coefficients_at,
     complex_lineshape,
-    field_components,
+    field_arrays,
     gaussian_lineshape,
     hilbert_of_gaussian,
     signal_spectrum,
@@ -214,33 +217,46 @@ class TestWavelengthMap:
                 wavelength_to_energy(bad, DEFAULT_PARAMS)
 
 
-class TestFieldComponents:
+class TestFieldArrays:
     def test_frozen_values_at_the_exciton_line(self):
-        f = field_components(0.0, EXCITON_WAVELENGTH_NM, DEFAULT_PARAMS)
-        assert f.a_h == pytest.approx(0.8989692351595538, abs=1e-12)
-        assert f.a_v == pytest.approx(0.438011774084495, abs=1e-12)
-        assert f.phi == pytest.approx(-1.5057051318317507, abs=1e-12)
+        a_h, a_v, phi = field_arrays(0.0, [EXCITON_WAVELENGTH_NM], DEFAULT_PARAMS)
+        assert a_h[0] == pytest.approx(0.8989692351595538, abs=1e-12)
+        assert a_v[0] == pytest.approx(0.438011774084495, abs=1e-12)
+        assert phi[0] == pytest.approx(-1.5057051318317507, abs=1e-12)
 
     def test_frozen_values_at_540nm(self):
-        f = field_components(0.0, 540.0, DEFAULT_PARAMS)
-        assert f.a_h == pytest.approx(0.9563012355452118, abs=1e-12)
-        assert f.a_v == pytest.approx(0.2923832192426601, abs=1e-12)
-        assert f.phi == pytest.approx(0.1351045065298102, abs=1e-12)
+        a_h, a_v, phi = field_arrays(0.0, [540.0], DEFAULT_PARAMS)
+        assert a_h[0] == pytest.approx(0.9563012355452118, abs=1e-12)
+        assert a_v[0] == pytest.approx(0.2923832192426601, abs=1e-12)
+        assert phi[0] == pytest.approx(0.1351045065298102, abs=1e-12)
 
     def test_amplitudes_are_normalized(self):
-        for lam in (500.0, 514.0, 533.0, 545.0):
-            f = field_components(120.0, lam, DEFAULT_PARAMS)
-            assert f.a_h**2 + f.a_v**2 == pytest.approx(1.0, abs=1e-12)
+        a_h, a_v, _ = field_arrays(120.0, [500.0, 514.0, 533.0, 545.0], DEFAULT_PARAMS)
+        np.testing.assert_allclose(a_h**2 + a_v**2, 1.0, rtol=0.0, atol=1e-12)
 
     def test_cross_component_dies_at_long_delay(self):
-        f = field_components(5000.0, 540.0, DEFAULT_PARAMS)
-        assert f.a_h < 1e-10
-        assert f.a_v == pytest.approx(1.0, abs=1e-10)
+        a_h, a_v, _ = field_arrays(5000.0, [540.0], DEFAULT_PARAMS)
+        assert a_h[0] < 1e-10
+        assert a_v[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_sign_between_the_resonances(self):
-        for lam in (505.0, 515.0, 525.0, 533.0):
-            f = field_components(0.0, lam, DEFAULT_PARAMS)
-            assert math.sin(f.phi) < 0.0
+        _, _, phi = field_arrays(0.0, [505.0, 515.0, 525.0, 533.0], DEFAULT_PARAMS)
+        assert np.all(np.sin(phi) < 0.0)
+
+    def test_rejects_a_field_rounding_leaves_unnormalized(self):
+        # So far out on the line tails the squared amplitudes are subnormal,
+        # and the rounded field misses A_H^2 + A_V^2 = 1 by about 2e-6.
+        with pytest.raises(ParameterError, match="^field is not normalized: A_H"):
+            field_arrays(0.0, [540.0], ModelParams(delta_ev=1e-160))
+
+    @given(t=st.floats(0.0, 3000.0), lams=st.lists(st.floats(470.0, 600.0), min_size=2, max_size=40))
+    def test_without_the_biexciton_rows_the_field_is_the_same_at_every_wavelength(self, t, lams):
+        # Only the exciton line is left, and it enters S_RRVH and S_RRVV
+        # alike, so their ratio, and with it the field, is flat in lambda.
+        b0 = DEFAULT_PARAMS.b0
+        params = dataclasses.replace(DEFAULT_PARAMS, b0=((0.0, 0.0), b0[1], (0.0, 0.0)))
+        for component in field_arrays(t, lams, params):
+            np.testing.assert_allclose(component, component[0], rtol=0.0, atol=1e-12)
 
 
 def test_model_params_validation():
