@@ -3,11 +3,13 @@
 Subcommands map one-to-one onto the runs in pipeline; each writes its files
 into an output directory and a manifest digesting them.  Exit codes: 0 on
 success, 2 for configuration or parameter problems, 3 for I/O failures.
+A run that fails removes every directory it created, and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 
 from . import __version__
@@ -66,18 +68,24 @@ def _dispatch(args) -> int:
     seed = resolve_seed(args.seed, config)
     out_dir = resolve_output_dir(args.out, config, args.command)
 
-    if args.command == "spectra":
-        files = run_spectra(config, out_dir)
-    elif args.command == "contrast-map":
-        files = run_contrast_map(config, out_dir)
-    elif args.command == "reconstruct":
-        files = run_reconstruct(config, out_dir, input_path=args.input)
-    elif args.command == "qkd":
-        files = run_qkd(config, seed, out_dir)
-    else:
-        files = run_detector_check(config, seed, out_dir)
-
-    manifest = write_manifest(out_dir, args.command, config, seed, files)
+    # "new/.." exists once new does, so it never counts as created.
+    created = [d for d in (out_dir, *out_dir.parents) if d.name != ".." and not d.exists()]
+    try:
+        if args.command == "spectra":
+            files = run_spectra(config, out_dir)
+        elif args.command == "contrast-map":
+            files = run_contrast_map(config, out_dir)
+        elif args.command == "reconstruct":
+            files = run_reconstruct(config, out_dir, input_path=args.input)
+        elif args.command == "qkd":
+            files = run_qkd(config, seed, out_dir)
+        else:
+            files = run_detector_check(config, seed, out_dir)
+        manifest = write_manifest(out_dir, args.command, config, seed, files)
+    except BaseException:
+        for d in created:
+            shutil.rmtree(d, ignore_errors=True)
+        raise
     for f in [*files, manifest]:
         print(f.as_posix())
     print(f"backend: {BACKEND}")

@@ -65,8 +65,8 @@ class AttenuationConfig:
             raise ParameterError("mean_total_photons must be positive and finite")
         if not 1.0 <= self.g2_target < math.inf:
             raise ParameterError("g2_target must be finite and at least 1 for a gain mixture")
-        if not isinstance(self.max_photons, numbers.Integral) or self.max_photons < 1:
-            raise ParameterError("max_photons must be an integer of at least 1")
+        if not isinstance(self.max_photons, numbers.Integral) or not 1 <= self.max_photons < 2**63:
+            raise ParameterError("max_photons must be an integer from 1 to 2^63 - 1")
 
 
 def gain_from_uniform(u, g2: float):

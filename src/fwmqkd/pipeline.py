@@ -9,7 +9,6 @@ manifest included.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -495,8 +494,8 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
     pulse is logged to records.csv.  Pulses are drawn, read out, tallied and
     written one block of session.BLOCK_PULSES at a time, so memory follows
     the block, not the pulse count; the generator is positional, so the
-    block size never changes a byte.  A run rejected once records.csv is
-    written removes it, and the output directory if the run created it.
+    block size never changes a byte.  A setting in which no pulse saw a
+    photon is rejected once its rows are written; write_csv removes the file.
     """
     section = config["detector_check"]
     params = ModelParams(**config["model"])
@@ -512,70 +511,48 @@ def run_detector_check(config: dict, seed: int, out_dir: Path) -> list[Path]:
                           "with n_max = 2 x max_photons")
     t = section["t"]
     ports = setting_intensities(*field_arrays(t, [section["lambda_nm"]], params))[0].tolist()
-    # Before any file is written, so a grid.xi it rejects leaves none behind.
-    gammas = [float(intensity_ratio(i_h, i_v, config["grid"]["xi"])) for i_h, i_v in ports]
-    tallies = [Counter() for _ in SETTINGS]
-    clamped = [0 for _ in SETTINGS]
-    roundtrip_ok = [0 for _ in SETTINGS]
+    settings = {
+        f"theta_{theta_deg}": {
+            "theta_deg": theta_deg, "i_h": i_h, "i_v": i_v,
+            "gamma": float(intensity_ratio(i_h, i_v, config["grid"]["xi"])),
+            "clamped_pulses": 0, "sipm_roundtrip_ok": 0, "sipm_roundtrip_total": 2 * pulses,
+        } for theta_deg, (i_h, i_v) in zip(SETTINGS_DEG, ports)
+    }
+    stats = []
 
     def record_blocks():
         block = session.BLOCK_PULSES
-        for idx, theta_deg in enumerate(SETTINGS_DEG):
-            i_h, i_v = ports[idx]
+        for idx, record in enumerate(settings.values()):
+            tally = Counter()
             for a in range(0, pulses, block):
                 m = min(block, pulses - a)
                 start = idx * pulses + a
-                n_h, n_v, _, clamp = draw_photon_counts(i_h, i_v, attenuation, seed,
-                                                        STREAM_DETECTOR, start, m)
+                n_h, n_v, _, clamp = draw_photon_counts(record["i_h"], record["i_v"], attenuation,
+                                                        seed, STREAM_DETECTOR, start, m)
                 noise = pulse_randoms(seed, STREAM_DETECTOR, (2 + idx) * pulses + a, m)
-                roundtrip_ok[idx] += (sipm_roundtrip_ok(n_h, noise[1])
-                                      + sipm_roundtrip_ok(n_v, noise[2]))
-                clamped[idx] += int(np.count_nonzero(clamp))
-                tallies[idx].update(tally_pairs(n_h, n_v))
+                record["sipm_roundtrip_ok"] += (sipm_roundtrip_ok(n_h, noise[1])
+                                                + sipm_roundtrip_ok(n_v, noise[2]))
+                record["clamped_pulses"] += int(np.count_nonzero(clamp))
+                tally.update(tally_pairs(n_h, n_v))
                 yield [np.arange(start, start + m), np.broadcast_to(t, m),
-                       np.broadcast_to(theta_deg, m), n_h, n_v]
+                       np.broadcast_to(record["theta_deg"], m), n_h, n_v]
+            stats.append(contrast_from_tally(tally))
+            record["stats"] = {**stats[-1].to_dict(), "g2_measured": g2_from_tally(tally)}
 
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
-    try:
-        write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"],
-                  record_blocks())
-        stats = [contrast_from_tally(tally) for tally in tallies]
-        g2 = [g2_from_tally(tally) for tally in tallies]
-    except BaseException:
-        records_path.unlink(missing_ok=True)
-        for d in created:
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-
-    payload = {
+    write_csv(records_path, ["pulse_index", "T_fs", "theta_deg", "n_H", "n_V"], record_blocks())
+    sep = resolution(*stats)
+    json_path = out_dir / "detector_check.json"
+    write_json(json_path, {
         "pulses": pulses,
         "backend": BACKEND,
         "seed": seed,
         "config": dict(section),
-        "settings": {},
-    }
-    for idx, theta_deg in enumerate(SETTINGS_DEG):
-        i_h, i_v = ports[idx]
-        setting_stats = stats[idx].to_dict()
-        setting_stats["g2_measured"] = g2[idx]
-        payload["settings"][f"theta_{theta_deg}"] = {
-            "theta_deg": theta_deg,
-            "i_h": i_h,
-            "i_v": i_v,
-            "gamma": gammas[idx],
-            "clamped_pulses": clamped[idx],
-            "sipm_roundtrip_ok": roundtrip_ok[idx],
-            "sipm_roundtrip_total": 2 * pulses,
-            "stats": setting_stats,
-        }
-    sep = resolution(*stats)
-    payload["resolution"] = {
-        "value": sep.value if math.isfinite(sep.value) else None,
-        "saturated": sep.saturated,
-    }
-    json_path = out_dir / "detector_check.json"
-    write_json(json_path, payload)
+        "settings": settings,
+        "resolution": {
+            "value": sep.value if math.isfinite(sep.value) else None,
+            "saturated": sep.saturated,
+        },
+    })
     return [json_path, records_path]

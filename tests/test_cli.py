@@ -45,6 +45,18 @@ def _ratio_table(tmp_path, cells):
     return src
 
 
+def _fail_writing(monkeypatch, owner, attr, name):
+    """Make owner.attr raise OSError, as a full disk would, on the file called name."""
+    write = getattr(owner, attr)
+
+    def failing(path, *args, **kwargs):
+        if Path(path).name == name:
+            raise OSError(28, "No space left on device", str(path))
+        return write(path, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, failing)
+
+
 class TestSpectra:
     def test_default_run_produces_one_file_per_condition(self, run_cli):
         assert run_cli("spectra", "--out", "s") == 0
@@ -500,6 +512,16 @@ class TestQkd:
             f"error: config key 'qkd.{key}' must be a finite number\n")
         assert not (run_cli.cwd / "q").exists()
 
+    # The session's count tables are int64, so max_photons must fit one.
+    @pytest.mark.parametrize("max_photons,code", [(2**63, 2), (2**63 - 1, 0)])
+    def test_max_photons_stays_within_int64(self, run_cli, tmp_path, capsys, max_photons, code):
+        cfg = _write_config(tmp_path / "c.json", {"qkd": {"max_photons": max_photons}})
+        assert run_cli("qkd", "--config", cfg, "--out", "q") == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: max_photons must be an integer from 1 to 2^63 - 1\n"
+        assert (run_cli.cwd / "q").exists() == (code == 0)
+
 
 class TestDetectorCheck:
     def test_report_and_records(self, run_cli, tmp_path):
@@ -598,12 +620,6 @@ class TestDetectorCheck:
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "unrelated"
 
-    def test_a_late_rejection_removes_every_directory_it_created(self, run_cli, tmp_path):
-        (run_cli.cwd / "a").mkdir()
-        cfg = _write_config(tmp_path / "c.json", self.NO_PHOTONS)
-        assert run_cli("detector-check", "--config", cfg, "--out", "a/b/c") == 2
-        assert list((run_cli.cwd / "a").iterdir()) == []
-
     @pytest.mark.parametrize("pulses,rejected", [(2**52, True), (2**52 - 1, False)])
     def test_the_pulse_count_stays_below_the_exact_g2_bound(self, run_cli, tmp_path, capsys,
                                                             monkeypatch, pulses, rejected):
@@ -623,15 +639,16 @@ class TestDetectorCheck:
 
 
 class TestGoldenDigests:
-    """SHA-256 of every CSV table the CLI writes, and of reconstruct's
-    residuals.json, at small sizes and the default seed; the CSV digests
-    were captured before the CSV writer went column-wise.  Any change to
-    them changes the artifact bytes."""
+    """SHA-256 of every CSV table the CLI writes, of reconstruct's
+    residuals.json and of each run's manifest.json, at small sizes and the
+    default seed; the CSV digests were captured before the CSV writer went
+    column-wise, the manifest digests before failure cleanup moved into the
+    CLI.  Any change to them changes the artifact bytes."""
 
     @staticmethod
     def _digests(directory):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(directory.glob("*.csv"))}
+                for p in sorted([*directory.glob("*.csv"), directory / "manifest.json"])}
 
     def test_spectra(self, run_cli, tmp_path):
         cfg = _write_config(tmp_path / "c.json",
@@ -678,6 +695,37 @@ class TestGoldenDigests:
 
 
 class TestCommonBehavior:
+    # Each command fails at its last write, once its other files are
+    # written; detector-check also at a setting in which no pulse saw a
+    # photon, which shows only once that setting's records are written.
+    @pytest.mark.parametrize("command,section,write,code", [
+        ("spectra", None, (pipeline, "write_csv", "spectra_RRVH_T0.csv"), 3),
+        ("contrast-map", None, (pipeline, "write_csv", "ratios.csv"), 3),
+        ("reconstruct", None, (pipeline, "write_json", "residuals.json"), 3),
+        ("qkd", None, (Path, "write_text", "snapshots.txt"), 3),
+        ("detector-check", None, (pipeline, "write_json", "detector_check.json"), 3),
+        ("detector-check", TestDetectorCheck.NO_PHOTONS, None, 2),
+    ], ids=["spectra", "contrast-map", "reconstruct", "qkd", "detector-check", "no-photons"])
+    def test_a_late_rejection_removes_every_directory_it_created(self, run_cli, tmp_path,
+                                                                 monkeypatch, command, section,
+                                                                 write, code):
+        args = ["--config", _write_config(tmp_path / "c.json", section or {})]
+        if command == "reconstruct":
+            args += ["--input", _ratio_table(tmp_path, 3)]
+        if write:
+            _fail_writing(monkeypatch, *write)
+        (run_cli.cwd / "a").mkdir()
+        before = sorted(run_cli.cwd.iterdir())
+        for out in ("a/b/c", "new/../made/c"):
+            assert run_cli(command, *args, "--out", out) == code
+            assert sorted(run_cli.cwd.iterdir()) == before
+        assert list((run_cli.cwd / "a").iterdir()) == []
+        kept = run_cli.cwd / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("unrelated")
+        assert run_cli(command, *args, "--out", "kept") == code
+        assert (kept / "notes.txt").read_text() == "unrelated"
+
     def test_malformed_config_writes_nothing(self, run_cli, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -907,19 +955,24 @@ SPECTRA_DIGESTS = {
     "spectra_RRVV_T0.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
     "spectra_RRVV_T125.5.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
     "spectra_RRVV_T400.csv": "9f0c3fdd8a89af61be06f19b54a17e95d1b1745e17fcb7d29b6e49c7d0c2fad2",
+    "manifest.json": "c5d96f03679cb3e294e04e8dd63027bf7295d1a8455b7378bb87a048bc1aa25f",
 }
 CONTRAST_MAP_DIGESTS = {
     "contrast_map.csv": "25d43df1b7d442bcbe95135b0db61bfa4f4947a74bedf1bd2307deb4ab23fa58",
     "ratios.csv": "5c8459f9d0ee051f7835388d52f2c478dc401283fbf702442661c57bb73d722c",
+    "manifest.json": "ee042df37549c993efacf845c41e85f388cb4be77e8f139c8b8b4464e98f592d",
 }
 RECONSTRUCTION_DIGESTS = {
     "reconstruction.csv": "1b635ad5affd3ffb597af60c229f6feded95a23b6080c779906a205993aaa9ab",
+    "manifest.json": "697da62a22f971a4a96417e0e9ad653de36bdd0cb93128bd35f5d58acc9556d5",
 }
 SMALL_MAP_RECONSTRUCTION_DIGESTS = {
     "reconstruction.csv": "3636d7f81905c756726c25845dc39dda784b53f2dc37a18b12dd700dbd48abb0",
     "residuals.json": "cb008d94eeebeb6d63221b8129de4fa27adc8502238c3d7908e17ee060890de4",
+    "manifest.json": "dc3e408ad54b3b9a1e45c3e9319ee6367f933d75775c14a9b24703f20b462d94",
 }
 DETECTOR_DIGESTS = {
     "records.csv": "a12080936e9223c834562475036f5fe758ba8bb17b45ac6e40d8ad067a257284",
+    "manifest.json": "4658c04aa7adf627a6b645f1b330208d81e3fd6eb33ac94f59d8aaf2cb0c507f",
 }
 DETECTOR_JSON_DIGEST = "a949ae5c7ef2570249f72b69165b113cb84409b5a5fd40ebb1203de500c81030"

@@ -62,6 +62,9 @@ def test_attenuation_config_validation():
         with pytest.raises(ParameterError, match=name):
             AttenuationConfig(**{name: bad})
     assert AttenuationConfig(max_photons=np.int64(3)).max_photons == 3
+    with pytest.raises(ParameterError, match=r"2\^63 - 1"):
+        AttenuationConfig(max_photons=2**63)
+    assert AttenuationConfig(max_photons=2**63 - 1).max_photons == 2**63 - 1
 
 
 class TestGain:
