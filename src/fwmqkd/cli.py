@@ -68,8 +68,8 @@ def _dispatch(args) -> int:
     seed = resolve_seed(args.seed, config)
     out_dir = resolve_output_dir(args.out, config, args.command)
 
-    # "new/.." exists once new does, so it never counts as created.
-    created = [d for d in (out_dir, *out_dir.parents) if d.name != ".." and not d.exists()]
+    # Resolved first: "new/../kept" names kept, which existed before the run.
+    created = [p for p in (d.resolve() for d in (out_dir, *out_dir.parents)) if not p.exists()]
     try:
         if args.command == "spectra":
             files = run_spectra(config, out_dir)

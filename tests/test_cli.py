@@ -715,16 +715,18 @@ class TestCommonBehavior:
         if write:
             _fail_writing(monkeypatch, *write)
         (run_cli.cwd / "a").mkdir()
-        before = sorted(run_cli.cwd.iterdir())
-        for out in ("a/b/c", "new/../made/c"):
-            assert run_cli(command, *args, "--out", out) == code
-            assert sorted(run_cli.cwd.iterdir()) == before
-        assert list((run_cli.cwd / "a").iterdir()) == []
         kept = run_cli.cwd / "kept"
         kept.mkdir()
         (kept / "notes.txt").write_text("unrelated")
-        assert run_cli(command, *args, "--out", "kept") == code
-        assert (kept / "notes.txt").read_text() == "unrelated"
+        before = sorted(run_cli.cwd.iterdir())
+        # "new/../kept" reaches kept only once new is made, so it must not
+        # count as a directory the run created.
+        for out in ("a/b/c", "new/../made/c", "new/../kept/c", "new/../kept", "kept"):
+            assert run_cli(command, *args, "--out", out) == code
+            assert sorted(run_cli.cwd.iterdir()) == before
+            assert (kept / "notes.txt").read_text() == "unrelated"
+            assert not (kept / "c").exists()
+        assert list((run_cli.cwd / "a").iterdir()) == []
 
     def test_malformed_config_writes_nothing(self, run_cli, tmp_path):
         bad = tmp_path / "broken.json"
